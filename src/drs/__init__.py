@@ -30,7 +30,6 @@ from .datasets import (
     FoldSplit,
     NormalizationParams,
     apply_normalization,
-    denormalize,
     denormalize_targets,
     kfold_split,
     load_csv,
@@ -81,7 +80,6 @@ __all__ = [
     "apply_normalization",
     "bagging_sample",
     "build_region",
-    "denormalize",
     "denormalize_targets",
     "derive_seed",
     "diff_vs_m7",

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import Dataset, apply_normalization, kfold_split, normalize_minmax
+from .datasets import Dataset, DatasetError, apply_normalization, kfold_split, normalize_minmax
 from .learners import TreeParams, fit_individual, generate_ensemble
 from .measures import MEASURE_IDS, score_all
 from .region import build_region
@@ -52,7 +52,6 @@ class RunConfig:
     tree_params: TreeParams = field(default_factory=TreeParams)
     normalization: str = "global"
     scale: str = "1e-4"
-    dws_literal_threshold: bool = False
     jobs: int = 1
     out_dir: str = "drs-out"
 
@@ -156,6 +155,7 @@ def run_replication(config: RunConfig, dataset: Dataset, replication_seed: int):
     MSE is the arithmetic mean over the fold MSEs and the agreement rate is
     the fraction of test patterns on which DS under m3 and m7 picks the
     same member (tracked when the config includes ds with both measures).
+    Raises DatasetError when any fold MSE is not finite.
     """
     data = dataset
     if config.normalization == "global":
@@ -217,9 +217,7 @@ def run_replication(config: RunConfig, dataset: Dataset, replication_seed: int):
                         elif algo == "dw":
                             value = dw_predict(dw_weights(scores[m]), qp)
                         else:
-                            value, _ = dws_predict(
-                                scores[m], qp, config.dws_literal_threshold
-                            )
+                            value, _ = dws_predict(scores[m], qp)
                         predictions[(algo, m)][j] = value
                 if config.tracks_agreement:
                     agree_hits += int(
@@ -229,7 +227,14 @@ def run_replication(config: RunConfig, dataset: Dataset, replication_seed: int):
                     agree_total += 1
 
         for key in keys:
-            fold_mses[key].append(mse(predictions[key], test.targets))
+            fold_mse = mse(predictions[key], test.targets)
+            if not np.isfinite(fold_mse):
+                raise DatasetError(
+                    f"{dataset.name}: {method_label(*key)} has a non-finite MSE on "
+                    f"fold {fold.fold_id + 1} of {config.folds}; the values overflow "
+                    "float64, try --normalize global"
+                )
+            fold_mses[key].append(fold_mse)
 
     replication_mse = {key: float(np.mean(vals)) for key, vals in fold_mses.items()}
     agreement = agree_hits / agree_total if agree_total else None

@@ -25,7 +25,6 @@ documented constant so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -43,11 +42,11 @@ from .bench import (
 )
 from .datasets import (
     DatasetError,
-    _looks_like_header,
-    apply_normalization,
+    apply_minmax,
     denormalize_targets,
     load_csv,
     normalize_minmax,
+    read_numeric_csv,
 )
 from .learners import TreeParams, fit_individual, generate_ensemble
 from .measures import MEASURE_IDS, score_all
@@ -122,19 +121,10 @@ def _depth(raw: str):
     return int(raw)
 
 
-def _parse_bool(raw: str) -> bool:
-    token = str(raw).strip().lower()
-    if token in {"1", "true", "yes", "on"}:
-        return True
-    if token in {"0", "false", "no", "off"}:
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 _CONFIG_KEYS = {
     "data", "target_col", "algo", "measures", "k", "members", "folds",
     "reps", "seed", "jobs", "normalize", "scale", "out",
-    "min_parent_size", "min_leaf_size", "max_depth", "dws_literal_threshold",
+    "min_parent_size", "min_leaf_size", "max_depth",
 }
 
 
@@ -179,57 +169,6 @@ def _resolve(flag_value, file_values: dict, key: str, default, convert=None):
         return convert(raw)
     except (TypeError, ValueError) as exc:
         raise CliArgumentError(f"{key}={raw!r}: {exc}") from None
-
-
-def _load_matrix(path) -> np.ndarray:
-    """Feature-only CSV (optional header) as a float matrix."""
-    path = Path(path)
-    try:
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r]
-    except OSError as exc:
-        raise DatasetError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise DatasetError(f"{path}: empty file")
-    first_data_line = 1
-    if _looks_like_header(rows[0]):
-        rows = rows[1:]
-        first_data_line = 2
-        if not rows:
-            raise DatasetError(f"{path}: no data rows after header")
-    n_cols = len(rows[0])
-    values = np.empty((len(rows), n_cols), dtype=float)
-    for i, row in enumerate(rows):
-        if len(row) != n_cols:
-            raise DatasetError(
-                f"{path}: ragged row {first_data_line + i}: "
-                f"expected {n_cols} cells, found {len(row)}"
-            )
-        for j, cell in enumerate(row):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise DatasetError(
-                    f"{path}: non-numeric cell {cell!r} at row "
-                    f"{first_data_line + i}, column {j + 1}"
-                ) from None
-            if not np.isfinite(v):
-                raise DatasetError(
-                    f"{path}: non-finite cell {cell!r} at row "
-                    f"{first_data_line + i}, column {j + 1}"
-                )
-            values[i, j] = v
-    return values
-
-
-def _normalize_features(matrix: np.ndarray, params) -> np.ndarray:
-    """Apply stored feature mins/ranges to a feature-only matrix."""
-    mins = params.col_min[:-1]
-    rng = params.col_range[:-1]
-    scale = np.where(rng > 0, rng, 1.0)
-    out = (np.asarray(matrix, dtype=float) - mins) / scale
-    out[:, rng == 0] = 0.0
-    return out
 
 
 def _tree_params(ns, file_values) -> TreeParams:
@@ -285,10 +224,6 @@ def cmd_bench(ns) -> int:
         tree_params=_tree_params(ns, file_values),
         normalization=_resolve(ns.normalize, file_values, "normalize", "global"),
         scale=_resolve(ns.scale, file_values, "scale", "1e-4"),
-        dws_literal_threshold=_resolve(
-            ns.dws_literal_threshold, file_values, "dws_literal_threshold",
-            False, _parse_bool,
-        ),
         jobs=jobs,
         out_dir=str(_resolve(ns.out, file_values, "out", "drs-out")),
     )
@@ -317,7 +252,7 @@ def cmd_predict(ns) -> int:
     algo = ns.algo
     measure = ns.measure
     train = load_csv(ns.train, _int_or_name(ns.target_col) if ns.target_col is not None else -1)
-    query = _load_matrix(ns.query)
+    query, _ = read_numeric_csv(ns.query)
     if query.shape[1] != train.n_features:
         raise DatasetError(
             f"{ns.query}: query rows have {query.shape[1]} features "
@@ -332,7 +267,7 @@ def cmd_predict(ns) -> int:
     query_x = query
     if (ns.normalize or "global") == "global":
         fitted, params = normalize_minmax(train)
-        query_x = _normalize_features(query, params)
+        query_x = apply_minmax(query, params)
     tree_params = _tree_params(ns, file_values)
 
     def to_original(v: float) -> float:
@@ -370,7 +305,7 @@ def cmd_predict(ns) -> int:
             elif algo == "dw":
                 value = dw_predict(dw_weights(scores), qp)
             else:
-                value, weights = dws_predict(scores, qp, ns.dws_literal_threshold or False)
+                value, weights = dws_predict(scores, qp)
                 kept = np.flatnonzero(weights.selected)
                 shown = ", ".join(
                     f"{i}*{weights.alpha[i]:.4f}" for i in kept[:10]
@@ -402,7 +337,7 @@ def cmd_inspect(ns) -> int:
     fitted = reference
     if (ns.normalize or "global") == "global":
         fitted, params = normalize_minmax(reference)
-        query_x = _normalize_features(query_x[None], params)[0]
+        query_x = apply_minmax(query_x[None], params)[0]
     ensemble = generate_ensemble(
         fitted.features, fitted.targets, common["members"],
         _tree_params(ns, file_values), common["seed"],
@@ -490,8 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default drs-out)")
     bench.add_argument("--config", default=None, metavar="FILE",
                        help="key=value file supplying any flag; flags win")
-    bench.add_argument("--dws-literal-threshold", action="store_true", default=None,
-                       help=argparse.SUPPRESS)
     _add_common(bench, ("global", "fold", "none"))
     bench.set_defaults(func=cmd_bench)
 
@@ -506,8 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--measure", default="m3", type=str.lower,
                          choices=MEASURE_IDS,
                          help="competence measure for ds/dw/dws (default m3)")
-    predict.add_argument("--dws-literal-threshold", action="store_true", default=None,
-                         help=argparse.SUPPRESS)
     _add_common(predict, ("global", "none"))
     predict.set_defaults(func=cmd_predict)
 

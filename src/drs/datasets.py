@@ -9,7 +9,7 @@ file (by default the last one); every other column is a feature.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -65,44 +65,19 @@ class Dataset:
 class NormalizationParams:
     """Per-column min/max used by :func:`normalize_minmax`.
 
-    Columns are the feature columns in order followed by the target column;
-    ``column_names`` labels them ("f0", "f1", ..., "target" by default).
+    Columns are the feature columns in order followed by the target column.
     """
 
     col_min: np.ndarray
     col_max: np.ndarray
-    column_names: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         object.__setattr__(self, "col_min", np.asarray(self.col_min, dtype=float))
         object.__setattr__(self, "col_max", np.asarray(self.col_max, dtype=float))
-        if not self.column_names:
-            names = tuple(f"f{i}" for i in range(len(self.col_min) - 1)) + ("target",)
-            object.__setattr__(self, "column_names", names)
 
     @property
     def col_range(self) -> np.ndarray:
         return self.col_max - self.col_min
-
-    def save_csv(self, path) -> None:
-        """Write one ``column,min,max`` row per column."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["column", "min", "max"])
-            for name, lo, hi in zip(self.column_names, self.col_min, self.col_max):
-                writer.writerow([name, repr(float(lo)), repr(float(hi))])
-
-    @classmethod
-    def load_csv(cls, path) -> "NormalizationParams":
-        names, lows, highs = [], [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)  # header
-            for row in reader:
-                names.append(row[0])
-                lows.append(float(row[1]))
-                highs.append(float(row[2]))
-        return cls(np.array(lows), np.array(highs), tuple(names))
 
 
 @dataclass(frozen=True)
@@ -123,42 +98,32 @@ def _looks_like_header(cells: list[str]) -> bool:
     return False
 
 
-def load_csv(path, target_column: int | str = -1, header: bool | None = None) -> Dataset:
-    """Load a regression dataset from a CSV file.
+def read_numeric_csv(path) -> tuple[np.ndarray, list[str] | None]:
+    """Parse a numeric CSV file into a float matrix.
 
-    Parameters
-    ----------
-    path : file path
-    target_column : int or str
-        Column holding the target: an index (negative allowed, default is
-        the last column) or, when the file has a header, a column name.
-    header : bool or None
-        True/False to force header handling; None (default) sniffs: the
-        first line is treated as a header when any of its cells is not a
-        number.
+    The first line is a header when any of its cells is not a number.
+    Returns the matrix and the stripped header cells (None without a header).
 
     Raises
     ------
     DatasetError
-        For an unreadable file, an empty file, ragged rows, or any cell
-        that does not parse as a finite number (the message names the
-        offending row and column, 1-based as they appear in the file).
+        For an unreadable file, an empty file, a header with no data rows,
+        ragged rows, or any cell that does not parse as a finite number (the
+        message names the offending row and column, 1-based as they appear
+        in the file).
     """
     path = Path(path)
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            rows = [r for r in csv.reader(fh) if r]  # drop blank lines
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
-    rows = [r for r in rows if r]  # drop blank lines
     if not rows:
-        raise DatasetError(f"{path}: empty dataset")
+        raise DatasetError(f"{path}: empty file")
 
     column_names = None
     first_data_line = 1
-    if header is None:
-        header = _looks_like_header(rows[0])
-    if header:
+    if _looks_like_header(rows[0]):
         column_names = [c.strip() for c in rows[0]]
         rows = rows[1:]
         first_data_line = 2
@@ -166,9 +131,6 @@ def load_csv(path, target_column: int | str = -1, header: bool | None = None) ->
             raise DatasetError(f"{path}: no data rows after header")
 
     n_cols = len(rows[0])
-    if n_cols < 2:
-        raise DatasetError(f"{path}: need at least two columns (features and target)")
-
     values = np.empty((len(rows), n_cols), dtype=float)
     for i, row in enumerate(rows):
         if len(row) != n_cols:
@@ -190,6 +152,30 @@ def load_csv(path, target_column: int | str = -1, header: bool | None = None) ->
                     f"{first_data_line + i}, column {j + 1}"
                 )
             values[i, j] = v
+    return values, column_names
+
+
+def load_csv(path, target_column: int | str = -1) -> Dataset:
+    """Load a regression dataset from a CSV file (parsed by :func:`read_numeric_csv`).
+
+    Parameters
+    ----------
+    path : file path
+    target_column : int or str
+        Column holding the target: an index (negative allowed, default is
+        the last column) or, when the file has a header, a column name.
+
+    Raises
+    ------
+    DatasetError
+        For any file :func:`read_numeric_csv` rejects, a file with fewer
+        than two columns, or a target column that is absent.
+    """
+    path = Path(path)
+    values, column_names = read_numeric_csv(path)
+    n_cols = values.shape[1]
+    if n_cols < 2:
+        raise DatasetError(f"{path}: need at least two columns (features and target)")
 
     if isinstance(target_column, str):
         if column_names is None:
@@ -221,8 +207,9 @@ def normalize_minmax(d: Dataset) -> tuple[Dataset, NormalizationParams]:
 
     Each column c is mapped x -> (x - min_c) / (max_c - min_c). A constant
     column maps to all zeros. Returns the normalized dataset together with
-    the per-column parameters, so values can be mapped back with
-    :func:`denormalize` or applied to new data with :func:`apply_normalization`.
+    the per-column parameters, so new data can be mapped the same way with
+    :func:`apply_normalization` and predicted targets mapped back with
+    :func:`denormalize_targets`.
     """
     if d.n_instances == 0:
         raise DatasetError("cannot normalize an empty dataset")
@@ -242,19 +229,24 @@ def apply_normalization(d: Dataset, params: NormalizationParams) -> Dataset:
     inside. Columns that were constant when the parameters were computed
     map to 0.
     """
-    cols = np.column_stack([d.features, d.targets])
-    rng_ = params.col_range
+    out = apply_minmax(np.column_stack([d.features, d.targets]), params)
+    return Dataset(out[:, :-1], out[:, -1], d.name)
+
+
+def apply_minmax(matrix, params: NormalizationParams) -> np.ndarray:
+    """Apply stored min/max parameters to the leading columns of a matrix.
+
+    A matrix with every column (features, then target) is mapped whole; a
+    feature-only matrix, such as query rows, uses the feature columns'
+    parameters. The mapping is that of :func:`apply_normalization`.
+    """
+    cols = np.asarray(matrix, dtype=float)
+    n = cols.shape[1]
+    rng_ = params.col_range[:n]
     scale = np.where(rng_ > 0, rng_, 1.0)
-    out = (cols - params.col_min) / scale
+    out = (cols - params.col_min[:n]) / scale
     out[:, rng_ == 0] = 0.0
-    return Dataset(out[:, :-1], out[:, -1], d.name)
-
-
-def denormalize(d: Dataset, params: NormalizationParams) -> Dataset:
-    """Invert :func:`apply_normalization` (constant columns recover their value)."""
-    cols = np.column_stack([d.features, d.targets])
-    out = cols * params.col_range + params.col_min
-    return Dataset(out[:, :-1], out[:, -1], d.name)
+    return out
 
 
 def denormalize_targets(values, params: NormalizationParams) -> np.ndarray:

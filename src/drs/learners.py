@@ -11,7 +11,7 @@ index, then lowest threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,14 +51,13 @@ class RegressionTree:
     sample: x[feature] <= threshold goes left.
     """
 
-    def __init__(self, feature, threshold, left, right, value, n_features, params):
+    def __init__(self, feature, threshold, left, right, value, n_features):
         self.feature = np.asarray(feature, dtype=np.int64)
         self.threshold = np.asarray(threshold, dtype=float)
         self.left = np.asarray(left, dtype=np.int64)
         self.right = np.asarray(right, dtype=np.int64)
         self.value = np.asarray(value, dtype=float)
         self.n_features = int(n_features)
-        self.params = params
         for arr in (self.feature, self.threshold, self.left, self.right, self.value):
             arr.setflags(write=False)
 
@@ -106,26 +105,6 @@ class RegressionTree:
                 )
         return "\n".join(lines)
 
-    @classmethod
-    def from_text(cls, text: str, n_features: int, params: TreeParams | None = None):
-        feature, threshold, left, right, value = [], [], [], [], []
-        for line in text.strip().splitlines():
-            parts = line.split()
-            if parts[1] == "leaf":
-                feature.append(-1)
-                threshold.append(np.nan)
-                left.append(-1)
-                right.append(-1)
-                value.append(float(parts[2]))
-            else:
-                feature.append(int(parts[2]))
-                threshold.append(float(parts[3]))
-                left.append(int(parts[4]))
-                right.append(int(parts[5]))
-                value.append(np.nan)
-        return cls(feature, threshold, left, right, value, n_features, params)
-
-
 def _best_split(X, y, min_leaf):
     """Best (feature, threshold) by SSE reduction, or None if no split helps.
 
@@ -169,19 +148,14 @@ def _best_split(X, y, min_leaf):
     return feat, float(thresholds.min())
 
 
-def fit_tree(features, targets, params: TreeParams | None = None, seed=None) -> RegressionTree:
+def fit_tree(features, targets, params: TreeParams | None = None) -> RegressionTree:
     """Fit a CART regression tree by exact greedy least-squares splitting.
 
     Recursion stops when a node is smaller than ``params.min_parent_size``,
     at ``params.max_depth``, when the node targets are pure (population
     variance below 1e-12), or when no split reduces the SSE. A degenerate
     training set yields a single-leaf tree.
-
-    ``seed`` has no effect on this deterministic builder; it is accepted so
-    bagged generation can pass per-member seeds to any learner through a
-    uniform signature.
     """
-    del seed
     X = np.ascontiguousarray(features, dtype=float)
     y = np.ascontiguousarray(targets, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
@@ -228,7 +202,7 @@ def fit_tree(features, targets, params: TreeParams | None = None, seed=None) -> 
         stack.append((right[node], idx[~go_left], depth + 1))
         stack.append((left[node], idx[go_left], depth + 1))
 
-    return RegressionTree(feature, threshold, left, right, value, X.shape[1], params)
+    return RegressionTree(feature, threshold, left, right, value, X.shape[1])
 
 
 def fit_individual(features, targets, params: TreeParams | None = None) -> RegressionTree:
@@ -247,13 +221,11 @@ def bagging_sample(n: int, seed: int) -> np.ndarray:
 class Ensemble:
     """An ordered collection of fitted regressors plus its generation audit trail.
 
-    ``bag_indices[i]`` is the resample member ``i`` was trained on (None for
-    ensembles reloaded from the audit text format).
+    ``bag_indices[i]`` is the resample member ``i`` was trained on.
     """
 
     members: tuple
-    generation_seed: int
-    bag_indices: tuple | None = None
+    bag_indices: tuple
 
     @property
     def n_members(self) -> int:
@@ -264,30 +236,6 @@ class Ensemble:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.vstack([m.predict(X) for m in self.members])
 
-    def save_text(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"ensemble {self.n_members} {self.generation_seed}\n")
-            for i, member in enumerate(self.members):
-                fh.write(f"member {i} {member.n_features}\n")
-                fh.write(member.to_text() + "\n")
-
-    @classmethod
-    def load_text(cls, path) -> "Ensemble":
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        _, count, gen_seed = lines[0].split()
-        members = []
-        i = 1
-        for _ in range(int(count)):
-            _, _, n_features = lines[i].split()
-            i += 1
-            block = []
-            while i < len(lines) and not lines[i].startswith("member "):
-                block.append(lines[i])
-                i += 1
-            members.append(RegressionTree.from_text("\n".join(block), int(n_features)))
-        return cls(tuple(members), int(gen_seed), None)
-
 
 def generate_ensemble(
     features,
@@ -295,13 +243,12 @@ def generate_ensemble(
     n_members: int,
     params: TreeParams | None = None,
     seed: int = 0,
-    learner=fit_tree,
 ) -> Ensemble:
     """Train ``n_members`` regressors on bagged resamples of the training set.
 
     Member ``i`` draws its bag with the derived seed ``derive_seed(seed, i)``
-    and is fitted by ``learner(bag_features, bag_targets, params, member_seed)``,
-    so members are independent, order-stable, and reproducible per (seed, i).
+    and is fitted by :func:`fit_tree`, so members are independent,
+    order-stable, and reproducible per (seed, i).
     Every bag has exactly the training-set size, drawn with replacement.
     """
     if n_members < 1:
@@ -312,8 +259,7 @@ def generate_ensemble(
     members = []
     bags = []
     for i in range(n_members):
-        member_seed = derive_seed(seed, i)
-        bag = bagging_sample(n, member_seed)
-        members.append(learner(X[bag], y[bag], params, member_seed))
+        bag = bagging_sample(n, derive_seed(seed, i))
+        members.append(fit_tree(X[bag], y[bag], params))
         bags.append(bag)
-    return Ensemble(tuple(members), seed, tuple(bags))
+    return Ensemble(tuple(members), tuple(bags))

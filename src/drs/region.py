@@ -68,7 +68,8 @@ def inverse_distance_weights(distances) -> np.ndarray:
     The formula is singular at zero distance, so its pointwise limit is
     used there: if any distance is below 1e-12, the z zero-distance entries
     each get weight 1/z and all others get 0. The output always sums to 1
-    and is invariant under positive rescaling of the distances.
+    and is invariant under positive rescaling of the distances while every
+    distance stays at or above 1e-12.
     """
     dist = np.asarray(distances, dtype=float)
     if dist.ndim != 1 or dist.size == 0:

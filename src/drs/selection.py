@@ -49,7 +49,8 @@ def dw_weights(scores) -> MemberWeights:
     alpha_i = (1/sqrt(s_i)) / sum_n (1/sqrt(s_n)). Scores below 1e-12 are
     treated as exactly competent: the weight splits uniformly over them and
     everyone else gets 0. All members stay selected. Weights are invariant
-    to positive rescaling of the score vector.
+    to positive rescaling of the score vector while every score stays at or
+    above 1e-12.
     """
     s = _as_scores(scores)
     if np.any(s < 0):

@@ -103,6 +103,22 @@ class TestExitCodes:
         with pytest.raises(SystemExit):
             main(["reticulate"])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_mse_fails_the_run(self, tmp_path, capsys):
+        rng = np.random.default_rng(11)
+        X, y = synthetic_dataset(rng, 80, 3)
+        data = write_csv(tmp_path / "huge.csv", X, (2.0 + y) * 1e160)
+        out = tmp_path / "out"
+        code = main(
+            ["bench", "--data", str(data), "--normalize", "none", "--out", str(out)]
+            + BENCH_FAST
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "huge: mean has a non-finite MSE on fold 1 of 3" in err
+        assert "--normalize global" in err
+        assert not (out / "results.csv").exists()
+
     def test_k_exceeding_training_fold(self, train_csv, capsys):
         code = main(
             ["bench", "--data", str(train_csv), "--k", "30",
@@ -243,6 +259,26 @@ class TestPredict:
         assert code == 1
         err = capsys.readouterr().err
         assert "2 features" in err and "3" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0.1,0.2,0.3\n0.4,0.5\n", "ragged row 2: expected 3 cells, found 2"),
+            ("a,b,c\n0.1,oops,0.3\n", "non-numeric cell 'oops' at row 2, column 2"),
+            ("0.1,0.2,0.3\n0.4,0.5,inf\n", "non-finite cell 'inf' at row 2, column 3"),
+            ("", "empty file"),
+        ],
+        ids=["ragged", "non-numeric", "inf", "empty"],
+    )
+    def test_malformed_query_file(self, train_csv, tmp_path, capsys, text, message):
+        query = tmp_path / "q.csv"
+        query.write_text(text)
+        code = main(
+            ["predict", "--train", str(train_csv), "--query", str(query),
+             "--members", "4", "--k", "3"]
+        )
+        assert code == 1
+        assert f"{query}: {message}" in capsys.readouterr().err
 
     def test_k_beyond_training_rows(self, train_csv, query_csv, capsys):
         code = main(

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from drs.learners import (
-    Ensemble,
-    RegressionTree,
     TreeParams,
     _best_split,
     bagging_sample,
@@ -203,23 +201,6 @@ class TestFitTree:
         with pytest.raises(ValueError, match="features"):
             tree.predict(np.zeros(2))
 
-    def test_deterministic_regardless_of_seed_argument(self):
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(30, 2))
-        y = rng.normal(size=30)
-        a = fit_tree(X, y, seed=1)
-        b = fit_tree(X, y, seed=999)
-        assert a.to_text() == b.to_text()
-
-    def test_text_round_trip_preserves_predictions(self):
-        rng = np.random.default_rng(6)
-        X = rng.normal(size=(40, 3))
-        y = rng.normal(size=40)
-        tree = fit_tree(X, y)
-        clone = RegressionTree.from_text(tree.to_text(), tree.n_features)
-        probes = rng.normal(size=(25, 3))
-        assert np.array_equal(tree.predict(probes), clone.predict(probes))
-
     def test_params_validation(self):
         with pytest.raises(ValueError):
             TreeParams(min_parent_size=4, min_leaf_size=3)
@@ -293,15 +274,6 @@ class TestEnsemble:
         refit = fit_tree(X[bag], y[bag])
         probes = X[:15] - 0.02
         assert np.array_equal(refit.predict(probes), ens.members[2].predict(probes))
-
-    def test_save_load_round_trip(self, tmp_path):
-        X, y = self._data()
-        ens = generate_ensemble(X, y, 4, seed=13)
-        p = tmp_path / "ens.txt"
-        ens.save_text(p)
-        clone = Ensemble.load_text(p)
-        probes = X[:10] * 0.5
-        assert np.array_equal(ens.predict_all(probes), clone.predict_all(probes))
 
     def test_zero_members_rejected(self):
         X, y = self._data()
