@@ -1,17 +1,30 @@
-"""Golden pin: the housing benchmark's results.csv must not change by a single byte.
+"""Golden pins: the housing benchmark's results.csv and the trees behind it.
 
 ``golden/housing.results.csv`` was written by ``drs bench`` with the config in
 ``GOLDEN_ARGS`` (default seed and tree parameters). A change that cannot keep
 it byte-identical regenerates the file in its own commit and reports the
 largest absolute change of any MSE.
+
+``golden/housing.trees.sha256`` pins the trees of that run's first fold: the
+sha256 of the ``to_text()`` dumps of every ensemble member, in member order,
+followed by the fold's individual tree, each dump ending in a newline. A
+tree-builder change must keep every node, threshold and leaf value bit for
+bit, not only the rounded MSEs.
 """
 
+import hashlib
 from pathlib import Path
 
 from conftest import DATA_DIR
+from drs.bench import RunConfig
 from drs.cli import main
+from drs.datasets import kfold_split, load_csv, normalize_minmax
+from drs.learners import fit_individual, generate_ensemble
+from drs.rng import derive_seed
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "housing.results.csv"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN = GOLDEN_DIR / "housing.results.csv"
+GOLDEN_TREES = GOLDEN_DIR / "housing.trees.sha256"
 GOLDEN_ARGS = [
     "--algo", "all", "--measures", "all",
     "--members", "25", "--folds", "5", "--reps", "1",
@@ -33,3 +46,26 @@ def test_housing_results_match_golden_bytes(tmp_path, capsys):
         if g != w
     ]
     assert got == want, f"results.csv differs from {GOLDEN.name}: {changed[:3]}"
+
+
+def first_fold_trees_sha256() -> str:
+    """Refit fold 0 of replication 0 the way ``run_replication`` does for
+    ``GOLDEN_ARGS`` and hash the tree dumps."""
+    config = RunConfig(n_members=25, folds=5)
+    data, _ = normalize_minmax(load_csv(DATA_DIR / "housing.csv"))
+    rep_seed = derive_seed(config.seed, 0)
+    fold = kfold_split(data.n_instances, config.folds, rep_seed)[0]
+    train = data.subset(fold.train_indices)
+    ensemble = generate_ensemble(
+        train.features, train.targets, config.n_members,
+        config.tree_params, derive_seed(rep_seed, fold.fold_id),
+    )
+    single = fit_individual(train.features, train.targets, config.tree_params)
+    digest = hashlib.sha256()
+    for tree in (*ensemble.members, single):
+        digest.update((tree.to_text() + "\n").encode())
+    return digest.hexdigest()
+
+
+def test_housing_first_fold_trees_match_golden_hash():
+    assert first_fold_trees_sha256() == GOLDEN_TREES.read_text().strip()
