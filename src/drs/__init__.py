@@ -41,7 +41,6 @@ from .learners import (
     TreeParams,
     bagging_sample,
     fit_individual,
-    fit_tree,
     generate_ensemble,
 )
 from .measures import MEASURE_IDS, CompetenceScore, score_all
@@ -89,7 +88,6 @@ __all__ = [
     "dws_predict",
     "find_neighbors",
     "fit_individual",
-    "fit_tree",
     "generate_ensemble",
     "inverse_distance_weights",
     "kfold_split",

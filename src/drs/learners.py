@@ -7,17 +7,43 @@ split with the largest reduction in within-node sum of squared deviations.
 Leaves predict the mean target of the instances routed to them. The builder
 is fully deterministic: equal-gain splits are broken by lowest feature
 index, then lowest threshold.
+
+Trees grow level by level, all members of an ensemble together (as in
+SLIQ, Mehta et al. 1996, and XGBoost's depth-wise builder, Chen & Guestrin
+2016). One array holds the bag rows of every active node, each node's rows
+in bag order. The nodes of one depth are batched by size, under a fixed
+cell cap, and the purity check, the leaf mean and the split search run once
+per batch instead of once per node. Children come from a stable partition
+of their parent's rows, and node ids are renumbered to those a depth-first,
+node-at-a-time builder assigns. The trees are the node-at-a-time builder's
+bit for bit:
+
+- a batch holds nodes of one exact size, so the row-wise ``var`` and
+  ``mean`` of a batch use the same pairwise summation as 1-D calls;
+- ``cumsum`` adds sequentially, along any axis;
+- a node's rows are sorted per feature by (value rank, bag position), the
+  order a stable sort of its bag-ordered rows gives, so tied values keep
+  their order and every prefix sum is the same;
+- the SSE is computed only at cut positions that leave ``min_leaf_size``
+  rows on both sides, and the others would be ``inf`` and never chosen;
+- midpoints grow with the cut position, so the lowest threshold among
+  equal-SSE cuts is the first such cut's.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import DatasetError
 from .rng import derive_seed, make_rng
 
 _PURITY_TOL = 1e-12
+# Largest (feature, row) cell count of one split-search batch. It bounds the
+# batch's working arrays, and so the builder's peak memory.
+_BATCH_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -105,109 +131,243 @@ class RegressionTree:
                 )
         return "\n".join(lines)
 
-def _best_split(X, y, min_leaf):
-    """Best (feature, threshold) by SSE reduction, or None if no split helps.
 
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values of each feature; children SSE is computed for every candidate at
-    once from cumulative sums. Ties on gain resolve to the lowest feature
-    index, then the lowest threshold.
-    """
-    m = X.shape[0]
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    ys = y[order]
-    csum = np.cumsum(ys, axis=0)
-    csq = np.cumsum(ys * ys, axis=0)
-    total_sum = csum[-1, 0]
-    total_sq = csq[-1, 0]
-
-    n_left = np.arange(1, m, dtype=float)[:, None]
-    n_right = m - n_left
-    sum_left = csum[:-1]
-    sq_left = csq[:-1]
-    children_sse = (
-        sq_left
-        - sum_left * sum_left / n_left
-        + (total_sq - sq_left)
-        - (total_sum - sum_left) ** 2 / n_right
-    )
-    valid = (xs[:-1] < xs[1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
-    children_sse = np.where(valid, children_sse, np.inf)
-
-    best = children_sse.min()
-    if not np.isfinite(best):
-        return None
-    parent_sse = total_sq - total_sum * total_sum / m
-    if parent_sse - best <= 0.0:
-        return None
-    col_best = children_sse.min(axis=0)
-    feat = int(np.flatnonzero(col_best == best)[0])
-    rows = np.flatnonzero(children_sse[:, feat] == best)
-    thresholds = (xs[rows, feat] + xs[rows + 1, feat]) / 2.0
-    return feat, float(thresholds.min())
-
-
-def fit_tree(features, targets, params: TreeParams | None = None) -> RegressionTree:
-    """Fit a CART regression tree by exact greedy least-squares splitting.
-
-    Recursion stops when a node is smaller than ``params.min_parent_size``,
-    at ``params.max_depth``, when the node targets are pure (population
-    variance below 1e-12), or when no split reduces the SSE. A degenerate
-    training set yields a single-leaf tree.
-    """
-    X = np.ascontiguousarray(features, dtype=float)
-    y = np.ascontiguousarray(targets, dtype=float)
+def _check_training_set(X, y):
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise ValueError("features must be (n, d) and targets (n,) with matching n")
     if X.shape[0] == 0:
         raise ValueError("cannot fit a tree on an empty training set")
-    if params is None:
-        params = TreeParams()
-
-    feature, threshold, left, right, value = [], [], [], [], []
-
-    def new_node():
-        feature.append(-1)
-        threshold.append(np.nan)
-        left.append(-1)
-        right.append(-1)
-        value.append(np.nan)
-        return len(feature) - 1
-
-    # Explicit stack instead of recursion: fully grown trees on large folds
-    # can exceed Python's recursion limit.
-    root = new_node()
-    stack = [(root, np.arange(X.shape[0]), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        yn = y[idx]
-        make_leaf = (
-            idx.size < params.min_parent_size
-            or (params.max_depth is not None and depth >= params.max_depth)
-            or np.var(yn) < _PURITY_TOL
+    # Every sum in the split arithmetic (prefix sums of y and y*y, their
+    # squares, the variance) stays below (n * max|y|)**2.
+    largest = float(np.max(np.abs(y)))
+    bound = X.shape[0] * largest
+    if not math.isfinite(bound * bound):
+        raise DatasetError(
+            f"targets reach |y| = {largest:.6g}; with {X.shape[0]} training rows "
+            "the split sums overflow float64, try --normalize global"
         )
-        split = None
-        if not make_leaf:
-            split = _best_split(X[idx], yn, params.min_leaf_size)
-        if split is None:
-            value[node] = yn.mean()
-            continue
-        feat, thr = split
-        feature[node] = feat
-        threshold[node] = thr
-        go_left = X[idx, feat] <= thr
-        left[node] = new_node()
-        right[node] = new_node()
-        stack.append((right[node], idx[~go_left], depth + 1))
-        stack.append((left[node], idx[go_left], depth + 1))
 
-    return RegressionTree(feature, threshold, left, right, value, X.shape[1])
+
+def _sort_keys(X):
+    """Integer sort keys for the columns of X, and the values they stand for.
+
+    ``keys[f, i]`` is the rank of ``X[i, f]`` among the distinct values of
+    column f, shifted left by ``shift`` bits. A node's row position (below
+    ``2**shift``) fills the low bits, so sorting a node's keys orders its
+    rows by value and equal values by position, as a stable sort would.
+    ``distinct[f, r]`` is the r-th smallest distinct value of column f.
+    """
+    n, d = X.shape
+    shift = max(1, (n - 1).bit_length())
+    ranks = np.empty((d, n), dtype=np.int64)
+    columns = []
+    for f in range(d):
+        values, ranks[f] = np.unique(X[:, f], return_inverse=True)
+        columns.append(values)
+    u = max(len(v) for v in columns)
+    distinct = np.array([np.pad(v, (0, u - len(v)), mode="edge") for v in columns])
+    dtype = np.int32 if (u << shift) < 2**31 else np.int64
+    return (ranks << shift).astype(dtype), distinct, shift
+
+
+def _best_splits(keys, yb, distinct, shift, min_leaf):
+    """Best (feature, threshold) of each node in a batch of equal-size nodes.
+
+    ``keys`` is (d, c, m): the sort keys of the m rows of node c under
+    feature f, their positions in the low ``shift`` bits (see
+    :func:`_sort_keys`). ``yb`` is (c, m), the targets in position order,
+    with m >= 2 * min_leaf. Returns (found, feature, threshold) arrays of
+    length c; ``found`` is False where no split reduces the SSE.
+    """
+    c, m = yb.shape
+    keys = np.sort(keys, axis=2)
+    ranks = keys >> shift
+    ys = yb.ravel()[(keys & ((1 << shift) - 1)) + np.arange(0, c * m, m)[:, None]]
+    del keys
+    csum = np.cumsum(ys, axis=2)
+    csq = np.cumsum(ys * ys, axis=2)
+    del ys
+    total_sum = csum[0, :, -1]
+    total_sq = csq[0, :, -1]
+
+    # Only cut positions that leave min_leaf rows on both sides; the rest
+    # are never chosen.
+    lo, hi = min_leaf - 1, m - min_leaf
+    n_left = np.arange(lo + 1, hi + 1, dtype=float)
+    n_right = m - n_left
+    sum_left = csum[:, :, lo:hi]
+    sq_left = csq[:, :, lo:hi]
+    ts = total_sum[:, None]
+    children_sse = (
+        sq_left
+        - sum_left * sum_left / n_left
+        + (total_sq[:, None] - sq_left)
+        - (ts - sum_left) ** 2 / n_right
+    )
+    del csum, csq, sum_left, sq_left
+    children_sse[ranks[:, :, lo:hi] == ranks[:, :, lo + 1 : hi + 1]] = np.inf
+
+    col_best = children_sse.min(axis=2)
+    best = col_best.min(axis=0)
+    parent_sse = total_sq - total_sum * total_sum / m
+    found = np.isfinite(best) & ~(parent_sse - best <= 0.0)
+    feat = np.argmax(col_best == best, axis=0)
+    nodes = np.arange(c)
+    # Midpoints grow with the cut position, so the lowest threshold among
+    # equal-SSE cuts is the first one.
+    cut = lo + np.argmax(children_sse[feat, nodes] == best[:, None], axis=1)
+    below = distinct[feat, ranks[feat, nodes, cut]]
+    above = distinct[feat, ranks[feat, nodes, cut + 1]]
+    return found, feat, (below + above) / 2.0
+
+
+def _grow_trees(X, y, bags, params: TreeParams) -> list[RegressionTree]:
+    """Fit one tree per row of ``bags`` (row indices into X and y), level by level."""
+    n_trees, n = bags.shape
+    d = X.shape[1]
+    Xt = np.ascontiguousarray(X.T)
+    keys, distinct, shift = _sort_keys(X)
+
+    # The active nodes of one depth: their rows, node after node, each in
+    # bag order, and each node's tree and size.
+    rows = bags.ravel()
+    tree_of = np.arange(n_trees)
+    sizes = np.full(n_trees, n)
+    nodes_by_depth = []  # (tree_of, feature, threshold, value, left, right)
+    depth = 0
+    while True:
+        n_nodes = tree_of.size
+        starts = np.cumsum(sizes) - sizes
+        feature = np.full(n_nodes, -1)
+        threshold = np.full(n_nodes, np.nan)
+        value = np.full(n_nodes, np.nan)
+        left = np.full(n_nodes, -1)
+        right = np.full(n_nodes, -1)
+        splittable = params.max_depth is None or depth < params.max_depth
+        child_rows, child_sizes, parents = [], [], []
+        n_children = 0
+
+        by_size = np.argsort(sizes, kind="stable")
+        cuts = np.flatnonzero(np.diff(sizes[by_size])) + 1
+        for group in np.split(by_size, cuts):
+            m = int(sizes[group[0]])
+            searched = splittable and m >= params.min_parent_size
+            step = max(1, _BATCH_CELLS // (m * d))
+            positions = np.arange(m, dtype=keys.dtype)
+            for lo in range(0, group.size, step):
+                nodes = group[lo : lo + step]
+                node_rows = rows[starts[nodes, None] + np.arange(m)]
+                yb = y[node_rows]
+                split = np.empty(0, dtype=np.int64)
+                if searched:
+                    impure = np.flatnonzero(~(np.var(yb, axis=1) < _PURITY_TOL))
+                    if impure.size:
+                        found, feat, thr = _best_splits(
+                            keys[:, node_rows[impure]] | positions,
+                            yb[impure], distinct, shift, params.min_leaf_size,
+                        )
+                        split, feat, thr = impure[found], feat[found], thr[found]
+                leaf = np.ones(nodes.size, dtype=bool)
+                leaf[split] = False
+                value[nodes[leaf]] = yb[leaf].mean(axis=1)
+                if not split.size:
+                    continue
+
+                # Children keep their parent's row order (a stable partition).
+                split_rows = node_rows[split]
+                split = nodes[split]
+                feature[split] = feat
+                threshold[split] = thr
+                go_right = Xt[feat[:, None], split_rows] > thr[:, None]
+                n_right = go_right.sum(axis=1)
+                k = split.size
+                left[split] = n_children + np.arange(k)
+                right[split] = n_children + k + np.arange(k)
+                n_children += 2 * k
+                child_rows += [split_rows[~go_right], split_rows[go_right]]
+                child_sizes += [m - n_right, n_right]
+                parents += [split, split]
+
+        nodes_by_depth.append((tree_of, feature, threshold, value, left, right))
+        if not parents:
+            break
+        tree_of = tree_of[np.concatenate(parents)]
+        sizes = np.concatenate(child_sizes)
+        rows = np.concatenate(child_rows)
+        depth += 1
+
+    return _number_depth_first(nodes_by_depth, n_trees, d)
+
+
+def _number_depth_first(nodes_by_depth, n_trees, n_features) -> list[RegressionTree]:
+    """Assemble trees whose node ids are those of a depth-first builder.
+
+    A depth-first builder that numbers both children when it splits a node
+    gives the children of the j-th split node (in preorder) ids 2j+1 and
+    2j+2. A node's preorder rank among split nodes follows from the number
+    of split nodes in its left sibling's subtree, counted bottom up.
+    """
+    internal = [None] * len(nodes_by_depth)  # split nodes in each node's subtree
+    for t in range(len(nodes_by_depth) - 1, -1, -1):
+        _, feature, _, _, left, right = nodes_by_depth[t]
+        split = feature >= 0
+        count = split.astype(np.int64)
+        if split.any():
+            below = internal[t + 1]
+            count[split] += below[left[split]] + below[right[split]]
+        internal[t] = count
+
+    sizes = 2 * internal[0] + 1
+    base = np.cumsum(sizes) - sizes
+    total = int(sizes.sum())
+    out_feature = np.full(total, -1)
+    out_threshold = np.full(total, np.nan)
+    out_left = np.full(total, -1)
+    out_right = np.full(total, -1)
+    out_value = np.full(total, np.nan)
+
+    rank = np.zeros(n_trees, dtype=np.int64)
+    node_id = np.zeros(n_trees, dtype=np.int64)
+    for t, (tree_of, feature, threshold, value, left, right) in enumerate(nodes_by_depth):
+        at = base[tree_of] + node_id
+        out_feature[at] = feature
+        out_threshold[at] = threshold
+        out_value[at] = value
+        split = np.flatnonzero(feature >= 0)
+        if not split.size:
+            break
+        j = rank[split]
+        out_left[at[split]] = 2 * j + 1
+        out_right[at[split]] = 2 * j + 2
+        n_next = internal[t + 1].size
+        rank = np.empty(n_next, dtype=np.int64)
+        node_id = np.empty(n_next, dtype=np.int64)
+        rank[left[split]] = j + 1
+        rank[right[split]] = j + 1 + internal[t + 1][left[split]]
+        node_id[left[split]] = 2 * j + 1
+        node_id[right[split]] = 2 * j + 2
+
+    return [
+        RegressionTree(
+            out_feature[lo:hi], out_threshold[lo:hi], out_left[lo:hi],
+            out_right[lo:hi], out_value[lo:hi], n_features,
+        )
+        for lo, hi in zip(base, base + sizes)
+    ]
 
 
 def fit_individual(features, targets, params: TreeParams | None = None) -> RegressionTree:
-    """The single-regressor baseline: one tree on the whole training set, no bagging."""
-    return fit_tree(features, targets, params)
+    """The single-regressor baseline: one tree on the whole training set, no bagging.
+
+    It is the builder's one-member case, with the identity as its bag.
+    Raises DatasetError when the targets are too large for the split sums
+    (see :func:`generate_ensemble`).
+    """
+    X = np.asarray(features, dtype=float)
+    y = np.asarray(targets, dtype=float)
+    _check_training_set(X, y)
+    bag = np.arange(X.shape[0])[None]
+    return _grow_trees(X, y, bag, params or TreeParams())[0]
 
 
 def bagging_sample(n: int, seed: int) -> np.ndarray:
@@ -246,20 +406,21 @@ def generate_ensemble(
 ) -> Ensemble:
     """Train ``n_members`` regressors on bagged resamples of the training set.
 
-    Member ``i`` draws its bag with the derived seed ``derive_seed(seed, i)``
-    and is fitted by :func:`fit_tree`, so members are independent,
-    order-stable, and reproducible per (seed, i).
+    Member ``i`` draws its bag with the derived seed ``derive_seed(seed, i)``,
+    so members are independent, order-stable, and reproducible per
+    (seed, i): a member equals :func:`fit_individual` on its bag's rows.
     Every bag has exactly the training-set size, drawn with replacement.
+    All members are grown together, level by level.
+
+    Raises DatasetError when ``(n * max|y|)**2`` is not finite, since the
+    split sums would overflow float64 and every tree would collapse.
     """
     if n_members < 1:
         raise ValueError("n_members must be >= 1")
     X = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
+    _check_training_set(X, y)
     n = X.shape[0]
-    members = []
-    bags = []
-    for i in range(n_members):
-        bag = bagging_sample(n, derive_seed(seed, i))
-        members.append(fit_tree(X[bag], y[bag], params))
-        bags.append(bag)
+    bags = [bagging_sample(n, derive_seed(seed, i)) for i in range(n_members)]
+    members = _grow_trees(X, y, np.stack(bags), params or TreeParams())
     return Ensemble(tuple(members), tuple(bags))

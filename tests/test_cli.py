@@ -115,8 +115,28 @@ class TestExitCodes:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert "huge: mean has a non-finite MSE on fold 1 of 3" in err
+        assert re.search(r"targets reach \|y\| = \d\.\d+e\+160", err)
         assert "--normalize global" in err
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["bench", "predict"])
+    def test_overflowing_targets_fail_before_fitting(self, command, tmp_path, capsys):
+        rng = np.random.default_rng(11)
+        X, y = synthetic_dataset(rng, 80, 3)
+        data = write_csv(tmp_path / "huge.csv", X, (2.0 + y) * 1e160)
+        out = tmp_path / "out"
+        if command == "bench":
+            argv = ["bench", "--data", str(data), "--out", str(out)] + BENCH_FAST
+        else:
+            query = write_csv(tmp_path / "query.csv", X[:4, :2], X[:4, 2])
+            argv = ["predict", "--train", str(data), "--query", str(query),
+                    "--algo", "dw", "--members", "5", "--k", "3"]
+        code = main(argv + ["--normalize", "none"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "try --normalize global" in captured.err
         assert not (out / "results.csv").exists()
 
     def test_k_exceeding_training_fold(self, train_csv, capsys):

@@ -2,16 +2,125 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drs.learners import (
+    _PURITY_TOL,
+    RegressionTree,
     TreeParams,
-    _best_split,
+    _best_splits,
+    _sort_keys,
     bagging_sample,
     fit_individual,
-    fit_tree,
     generate_ensemble,
 )
 from drs.rng import derive_seed
+
+
+def reference_best_split(X, y, min_leaf):
+    """One node's split search, the reference for the batched kernel.
+
+    Candidate thresholds are midpoints between consecutive distinct sorted
+    values of each feature; children SSE is computed for every candidate at
+    once from cumulative sums. Ties on gain resolve to the lowest feature
+    index, then the lowest threshold. Returns None if no split helps.
+    """
+    m = X.shape[0]
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    ys = y[order]
+    csum = np.cumsum(ys, axis=0)
+    csq = np.cumsum(ys * ys, axis=0)
+    total_sum = csum[-1, 0]
+    total_sq = csq[-1, 0]
+
+    n_left = np.arange(1, m, dtype=float)[:, None]
+    n_right = m - n_left
+    sum_left = csum[:-1]
+    sq_left = csq[:-1]
+    children_sse = (
+        sq_left
+        - sum_left * sum_left / n_left
+        + (total_sq - sq_left)
+        - (total_sum - sum_left) ** 2 / n_right
+    )
+    valid = (xs[:-1] < xs[1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+    children_sse = np.where(valid, children_sse, np.inf)
+
+    best = children_sse.min()
+    if not np.isfinite(best):
+        return None
+    parent_sse = total_sq - total_sum * total_sum / m
+    if parent_sse - best <= 0.0:
+        return None
+    col_best = children_sse.min(axis=0)
+    feat = int(np.flatnonzero(col_best == best)[0])
+    rows = np.flatnonzero(children_sse[:, feat] == best)
+    thresholds = (xs[rows, feat] + xs[rows + 1, feat]) / 2.0
+    return feat, float(thresholds.min())
+
+
+def reference_fit_tree(features, targets, params=None):
+    """Node-at-a-time CART, the reference for the level-wise builder.
+
+    Pops nodes from a stack, left child first, and numbers both children
+    when it splits a node. A node becomes a leaf when it is smaller than
+    ``min_parent_size``, at ``max_depth``, when its targets are pure, or
+    when no split reduces the SSE.
+    """
+    X = np.ascontiguousarray(features, dtype=float)
+    y = np.ascontiguousarray(targets, dtype=float)
+    params = params or TreeParams()
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(np.nan)
+        left.append(-1)
+        right.append(-1)
+        value.append(np.nan)
+        return len(feature) - 1
+
+    root = new_node()
+    stack = [(root, np.arange(X.shape[0]), 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        yn = y[idx]
+        make_leaf = (
+            idx.size < params.min_parent_size
+            or (params.max_depth is not None and depth >= params.max_depth)
+            or np.var(yn) < _PURITY_TOL
+        )
+        split = None
+        if not make_leaf:
+            split = reference_best_split(X[idx], yn, params.min_leaf_size)
+        if split is None:
+            value[node] = yn.mean()
+            continue
+        feat, thr = split
+        feature[node] = feat
+        threshold[node] = thr
+        go_left = X[idx, feat] <= thr
+        left[node] = new_node()
+        right[node] = new_node()
+        stack.append((right[node], idx[~go_left], depth + 1))
+        stack.append((left[node], idx[go_left], depth + 1))
+
+    return RegressionTree(feature, threshold, left, right, value, X.shape[1])
+
+
+def _best_splits_of(X, y, min_leaf):
+    """The batched split kernel on the nodes X (c, m, d) with targets y (c, m)."""
+    c, m, d = X.shape
+    keys, distinct, shift = _sort_keys(X.reshape(c * m, d))
+    keys = keys.reshape(d, c, m) | np.arange(m, dtype=keys.dtype)
+    return _best_splits(keys, y, distinct, shift, min_leaf)
+
+
+def _best_split(X, y, min_leaf):
+    """The batched split kernel on a batch of one node."""
+    found, feat, thr = _best_splits_of(X[None], y[None], min_leaf)
+    return (int(feat[0]), float(thr[0])) if found[0] else None
 
 
 def oracle_best_split(X, y, min_leaf):
@@ -91,6 +200,19 @@ class TestBestSplit:
         feat, thr = _best_split(X, y, 3)
         assert thr == 2.5
 
+    def test_batch_matches_reference_per_node(self):
+        rng = np.random.default_rng(5)
+        for trial in range(40):
+            c, m, d = int(rng.integers(1, 8)), int(rng.integers(2, 25)), int(rng.integers(1, 4))
+            min_leaf = int(rng.integers(1, m // 2 + 1))
+            X = rng.integers(0, 4, size=(c, m, d)).astype(float)
+            y = rng.integers(0, 3, size=(c, m)).astype(float)
+            found, feat, thr = _best_splits_of(X, y, min_leaf)
+            for i in range(c):
+                want = reference_best_split(X[i], y[i], min_leaf)
+                got = (int(feat[i]), float(thr[i])) if found[i] else None
+                assert got == want
+
     def test_matches_exhaustive_search_on_random_data(self):
         rng = np.random.default_rng(42)
         for trial in range(120):
@@ -121,7 +243,7 @@ class TestBestSplit:
 
 class TestFitTree:
     def test_two_point_line(self):
-        tree = fit_tree(
+        tree = fit_individual(
             np.array([[0.0], [1.0]]), np.array([0.0, 1.0]),
             TreeParams(min_parent_size=2),
         )
@@ -133,29 +255,29 @@ class TestFitTree:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 3))
         y = rng.normal(size=40)
-        tree = fit_tree(X, y, TreeParams(min_parent_size=2))
+        tree = fit_individual(X, y, TreeParams(min_parent_size=2))
         assert np.allclose(tree.predict(X), y, atol=1e-12)
 
     def test_constant_targets_single_leaf(self):
-        tree = fit_tree(np.arange(10.0)[:, None], np.full(10, 3.25), TreeParams(2))
+        tree = fit_individual(np.arange(10.0)[:, None], np.full(10, 3.25), TreeParams(2))
         assert tree.n_nodes == 1
         assert tree.predict(np.array([99.0])) == 3.25
 
     def test_min_parent_size_stops_splitting(self):
         X = np.arange(9.0)[:, None]
         y = np.arange(9.0)
-        tree = fit_tree(X, y, TreeParams(min_parent_size=10))
+        tree = fit_individual(X, y, TreeParams(min_parent_size=10))
         assert tree.n_nodes == 1
         assert tree.predict(np.array([4.0])) == y.mean()
 
     def test_max_depth_zero_is_a_stump(self):
         X = np.arange(20.0)[:, None]
-        tree = fit_tree(X, np.arange(20.0), TreeParams(2, max_depth=0))
+        tree = fit_individual(X, np.arange(20.0), TreeParams(2, max_depth=0))
         assert tree.n_nodes == 1
 
     def test_max_depth_one_splits_once(self):
         X = np.arange(20.0)[:, None]
-        tree = fit_tree(X, np.arange(20.0), TreeParams(2, max_depth=1))
+        tree = fit_individual(X, np.arange(20.0), TreeParams(2, max_depth=1))
         assert tree.n_nodes == 3
         assert tree.n_leaves == 2
 
@@ -163,7 +285,7 @@ class TestFitTree:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(60, 2))
         y = rng.normal(size=60)
-        tree = fit_tree(X, y, TreeParams(min_parent_size=12))
+        tree = fit_individual(X, y, TreeParams(min_parent_size=12))
         # every training row lands in a leaf whose value is the mean of
         # exactly the training rows routed there
         leaf_of = np.empty(60, dtype=int)
@@ -180,7 +302,7 @@ class TestFitTree:
             assert tree.value[leaf] == pytest.approx(members.mean(), abs=1e-12)
 
     def test_boundary_value_routes_left(self):
-        tree = fit_tree(
+        tree = fit_individual(
             np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), TreeParams(2)
         )
         thr = float(tree.threshold[0])
@@ -190,14 +312,14 @@ class TestFitTree:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(50, 4))
         y = rng.normal(size=50)
-        tree = fit_tree(X, y)
+        tree = fit_individual(X, y)
         probes = rng.normal(size=(20, 4))
         batch = tree.predict(probes)
         singles = [tree.predict(p) for p in probes]
         assert np.array_equal(batch, singles)
 
     def test_wrong_width_rejected(self):
-        tree = fit_tree(np.zeros((5, 3)), np.arange(5.0), TreeParams(2))
+        tree = fit_individual(np.zeros((5, 3)), np.arange(5.0), TreeParams(2))
         with pytest.raises(ValueError, match="features"):
             tree.predict(np.zeros(2))
 
@@ -213,7 +335,43 @@ class TestFitTree:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(30, 2))
         y = rng.normal(size=30)
-        assert fit_individual(X, y).to_text() == fit_tree(X, y).to_text()
+        assert fit_individual(X, y).to_text() == reference_fit_tree(X, y).to_text()
+
+
+@st.composite
+def tree_problems(draw):
+    """Small training sets with tied values, duplicate rows, constant
+    columns and, sometimes, constant targets, plus tree parameters."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, 5, size=(max(1, n // 2), d)).astype(float)
+    X = pool[rng.integers(0, pool.shape[0], size=n)]  # duplicate rows
+    if draw(st.booleans()):
+        X[:, rng.integers(0, d)] = 1.5  # a constant column
+    if draw(st.booleans()):
+        y = np.full(n, 0.25)
+    else:
+        y = np.round(rng.normal(size=n), 1)  # tied targets
+    min_leaf = draw(st.integers(1, 5))
+    params = TreeParams(
+        min_parent_size=2 * min_leaf + draw(st.integers(0, 6)),
+        min_leaf_size=min_leaf,
+        max_depth=draw(st.sampled_from([None, 0, 3])),
+    )
+    return X, y, params, seed
+
+
+class TestLevelWiseBuilder:
+    @settings(max_examples=40, deadline=None)
+    @given(tree_problems(), st.integers(1, 4))
+    def test_trees_equal_the_reference_builder(self, problem, n_members):
+        X, y, params, seed = problem
+        ens = generate_ensemble(X, y, n_members, params, seed)
+        for bag, member in zip(ens.bag_indices, ens.members):
+            assert member.to_text() == reference_fit_tree(X[bag], y[bag], params).to_text()
+        assert fit_individual(X, y, params).to_text() == reference_fit_tree(X, y, params).to_text()
 
 
 class TestBagging:
@@ -271,7 +429,7 @@ class TestEnsemble:
         X, y = self._data()
         ens = generate_ensemble(X, y, 4, seed=9)
         bag = np.asarray(ens.bag_indices[2])
-        refit = fit_tree(X[bag], y[bag])
+        refit = fit_individual(X[bag], y[bag])
         probes = X[:15] - 0.02
         assert np.array_equal(refit.predict(probes), ens.members[2].predict(probes))
 
