@@ -72,7 +72,7 @@ by_hand = {
     "m8": float(errs[0] ** 2),
 }
 for mid in MEASURE_IDS:
-    scored = score_all(mid, region, query_predictions).per_member[0]
+    scored = score_all(mid, region, query_predictions)[0]
     print(f"{mid}: {scored:.12f}  by hand {by_hand[mid]:.12f}  <- {stories[mid]}")
     assert abs(scored - by_hand[mid]) < 1e-12
 
@@ -80,7 +80,7 @@ print()
 print("Step 4: turning m3 scores into a prediction")
 print("=" * 60)
 scores = score_all("m3", region, query_predictions)
-print(f"m3 per member:                {scores.per_member.tolist()}")
+print(f"m3 per member:                {scores.tolist()}")
 value, winner = ds_predict(scores, query_predictions)
 print(f"ds  selects member {winner} and answers {value}")
 w = dw_weights(scores)

@@ -12,17 +12,14 @@ from pathlib import Path
 import numpy as np
 
 from drs import (
+    ALGORITHMS,
+    DYNAMIC_ALGORITHMS,
     TreeParams,
-    build_region,
-    ds_predict,
-    dw_predict,
-    dw_weights,
-    dws_predict,
     fit_individual,
     generate_ensemble,
     load_csv,
     normalize_minmax,
-    score_all,
+    predict_queries,
 )
 
 HERE = Path(__file__).resolve().parent
@@ -51,27 +48,19 @@ tree_params = TreeParams(min_parent_size=10, min_leaf_size=5)
 ensemble = generate_ensemble(train.features, train.targets, MEMBERS,
                              tree_params, SEED)
 single = fit_individual(train.features, train.targets, tree_params)
-train_preds = ensemble.predict_all(train.features)
-member_qpreds = ensemble.predict_all(test.features)
 print(f"fitted: 1 individual tree and {MEMBERS} bagged members")
 
-predictions = {name: np.empty(test.n_instances) for name in
-               ("single", "mean", "median", "ds:m3", "dw:m3", "dws:m3")}
-predictions["single"] = single.predict(test.features)
-predictions["mean"] = member_qpreds.mean(axis=0)
-predictions["median"] = np.median(member_qpreds, axis=0)
-
+# every algorithm answers every query; the dynamic ones rank members by m3
+keys = [(a, "m3" if a in DYNAMIC_ALGORITHMS else "") for a in ALGORITHMS]
+predictions = {key: np.empty(test.n_instances) for key in keys}
 switches = 0
 previous_winner = None
-for j in range(test.n_instances):
-    region = build_region(test.features[j], train.features, train.targets,
-                          ensemble, K, reference_predictions=train_preds)
-    qp = member_qpreds[:, j]
-    scores = score_all("m3", region, qp)
-    value, winner = ds_predict(scores, qp)
-    predictions["ds:m3"][j] = value
-    predictions["dw:m3"][j] = dw_predict(dw_weights(scores), qp)
-    predictions["dws:m3"][j], _ = dws_predict(scores, qp)
+answers = predict_queries(keys, train.features, train.targets, test.features,
+                          K, ensemble, single)
+for j, answer in enumerate(answers):
+    for key in keys:
+        predictions[key][j] = answer[key][0]
+    winner = answer[("ds", "m3")][1]
     switches += int(previous_winner is not None and winner != previous_winner)
     previous_winner = winner
 
@@ -79,8 +68,8 @@ print(f"\nds changed its selected member on {switches} of "
       f"{test.n_instances - 1} consecutive queries: competence is local")
 
 print(f"\ntest MSE (x 1e-4, lower is better), k={K}:")
-results = {name: float(np.mean((p - test.targets) ** 2)) * 1e4
-           for name, p in predictions.items()}
+results = {":".join(filter(None, key)): float(np.mean((p - test.targets) ** 2)) * 1e4
+           for key, p in predictions.items()}
 width = max(len(n) for n in results)
 for name, value in sorted(results.items(), key=lambda kv: kv[1]):
     bar = "#" * int(round(value / max(results.values()) * 40))

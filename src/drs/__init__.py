@@ -17,6 +17,7 @@ from .bench import (
     aggregate,
     diff_vs_m7,
     mse,
+    predict_queries,
     render_table,
     run_benchmark,
     run_replication,
@@ -43,7 +44,7 @@ from .learners import (
     fit_individual,
     generate_ensemble,
 )
-from .measures import MEASURE_IDS, CompetenceScore, score_all
+from .measures import MEASURE_IDS, score_all
 from .region import RegionOfCompetence, build_region, find_neighbors, inverse_distance_weights
 from .rng import derive_seed, make_rng
 from .selection import (
@@ -52,8 +53,6 @@ from .selection import (
     dw_predict,
     dw_weights,
     dws_predict,
-    static_mean,
-    static_median,
 )
 
 __version__ = "0.1.0"
@@ -63,7 +62,6 @@ __all__ = [
     "DEFAULT_SEED",
     "DYNAMIC_ALGORITHMS",
     "MEASURE_IDS",
-    "CompetenceScore",
     "Dataset",
     "DatasetError",
     "Ensemble",
@@ -95,12 +93,11 @@ __all__ = [
     "make_rng",
     "mse",
     "normalize_minmax",
+    "predict_queries",
     "render_table",
     "run_benchmark",
     "run_replication",
     "score_all",
-    "static_mean",
-    "static_median",
     "summarize",
     "win_tie_loss",
     "write_outputs",

@@ -148,6 +148,51 @@ def displayed_value(mean: float, scale: str = "1e-4") -> float:
     return float(f"{mean:.6g}")
 
 
+def predict_queries(keys, reference_X, reference_y, query_X, k, ensemble, individual=None):
+    """Answer every query row with every (algorithm, measure) in ``keys``.
+
+    Yields, for each row of ``query_X`` in order, a dict
+    ``{(algorithm, measure): (prediction, provenance)}``. Provenance is None
+    for the baselines, the selected member for ds and the ``MemberWeights``
+    for dw and dws. The dynamic algorithms score the members over the k
+    nearest reference rows, once per measure. ``ensemble`` may be None when
+    ``keys`` holds only ``("single", "")``, and ``individual`` is needed only
+    for that key. A generator, so no per-query provenance is kept.
+    """
+    if ensemble is not None:
+        member_qpreds = ensemble.predict_all(query_X)
+    baselines = {}
+    if ("single", "") in keys:
+        baselines[("single", "")] = individual.predict(query_X)
+    if ("mean", "") in keys:
+        baselines[("mean", "")] = member_qpreds.mean(axis=0)
+    if ("median", "") in keys:
+        baselines[("median", "")] = np.median(member_qpreds, axis=0)
+    measures = list(dict.fromkeys(m for a, m in keys if a in DYNAMIC_ALGORITHMS))
+    if measures:
+        reference_predictions = ensemble.predict_all(reference_X)
+    for j in range(len(query_X)):
+        if measures:
+            region = build_region(
+                query_X[j], reference_X, reference_y,
+                ensemble, k, reference_predictions=reference_predictions,
+            )
+            qp = member_qpreds[:, j]
+            scores = {m: score_all(m, region, qp) for m in measures}
+        answers = {}
+        for algo, m in keys:
+            if algo == "ds":
+                answers[(algo, m)] = ds_predict(scores[m], qp)
+            elif algo == "dw":
+                weights = dw_weights(scores[m])
+                answers[(algo, m)] = (dw_predict(weights, qp), weights)
+            elif algo == "dws":
+                answers[(algo, m)] = dws_predict(scores[m], qp)
+            else:
+                answers[(algo, m)] = (float(baselines[(algo, m)][j]), None)
+        yield answers
+
+
 def run_replication(config: RunConfig, dataset: Dataset, replication_seed: int):
     """One replication: a fresh k-fold split, everything refitted per fold.
 
@@ -169,7 +214,6 @@ def run_replication(config: RunConfig, dataset: Dataset, replication_seed: int):
         )
 
     keys = config.method_keys()
-    dynamic = [a for a in config.algorithms if a in DYNAMIC_ALGORITHMS]
     fold_mses = {key: [] for key in keys}
     agree_hits = 0
     agree_total = 0
@@ -181,50 +225,28 @@ def run_replication(config: RunConfig, dataset: Dataset, replication_seed: int):
             _, params = normalize_minmax(train)
             train = apply_normalization(train, params)
             test = apply_normalization(test, params)
-        n_test = test.n_instances
-        predictions = {key: np.empty(n_test) for key in keys}
 
-        ensemble = None
+        ensemble = individual = None
         if any(a != "single" for a in config.algorithms):
             ens_seed = derive_seed(replication_seed, fold.fold_id)
             ensemble = generate_ensemble(
                 train.features, train.targets, config.n_members,
                 config.tree_params, ens_seed,
             )
-            member_qpreds = ensemble.predict_all(test.features)
-
-        if ("single", "") in predictions:
+        if "single" in config.algorithms:
             individual = fit_individual(train.features, train.targets, config.tree_params)
-            predictions[("single", "")] = individual.predict(test.features)
-        if ("mean", "") in predictions:
-            predictions[("mean", "")] = member_qpreds.mean(axis=0)
-        if ("median", "") in predictions:
-            predictions[("median", "")] = np.median(member_qpreds, axis=0)
 
-        if dynamic:
-            train_preds = ensemble.predict_all(train.features)
-            for j in range(n_test):
-                region = build_region(
-                    test.features[j], train.features, train.targets,
-                    ensemble, config.k, reference_predictions=train_preds,
-                )
-                qp = member_qpreds[:, j]
-                scores = {m: score_all(m, region, qp) for m in config.measures}
-                for algo in dynamic:
-                    for m in config.measures:
-                        if algo == "ds":
-                            value, _ = ds_predict(scores[m], qp)
-                        elif algo == "dw":
-                            value = dw_predict(dw_weights(scores[m]), qp)
-                        else:
-                            value, _ = dws_predict(scores[m], qp)
-                        predictions[(algo, m)][j] = value
-                if config.tracks_agreement:
-                    agree_hits += int(
-                        np.argmin(scores["m3"].per_member)
-                        == np.argmin(scores["m7"].per_member)
-                    )
-                    agree_total += 1
+        predictions = {key: np.empty(test.n_instances) for key in keys}
+        answers = predict_queries(
+            keys, train.features, train.targets, test.features,
+            config.k, ensemble, individual,
+        )
+        for j, answer in enumerate(answers):
+            for key in keys:
+                predictions[key][j] = answer[key][0]
+            if config.tracks_agreement:
+                agree_hits += int(answer[("ds", "m3")][1] == answer[("ds", "m7")][1])
+                agree_total += 1
 
         for key in keys:
             fold_mse = mse(predictions[key], test.targets)

@@ -36,6 +36,7 @@ from .bench import (
     DEFAULT_SEED,
     DYNAMIC_ALGORITHMS,
     RunConfig,
+    predict_queries,
     render_table,
     run_benchmark,
     write_outputs,
@@ -51,6 +52,8 @@ from .datasets import (
 from .learners import TreeParams, fit_individual, generate_ensemble
 from .measures import MEASURE_IDS, score_all
 from .region import build_region
+# Unused here since predict answers through bench.predict_queries, but
+# perfbench/spans.py TRACE_POINTS still wraps these names in drs.cli.
 from .selection import ds_predict, dw_predict, dw_weights, dws_predict
 
 
@@ -273,46 +276,28 @@ def cmd_predict(ns) -> int:
     def to_original(v: float) -> float:
         return float(denormalize_targets([v], params)[0]) if params else float(v)
 
+    ensemble = individual = None
     if algo == "single":
-        tree = fit_individual(fitted.features, fitted.targets, tree_params)
-        for j in range(query_x.shape[0]):
-            print(f"query {j}: {to_original(tree.predict(query_x[j])):.6f}")
-        return 0
-
-    ensemble = generate_ensemble(
-        fitted.features, fitted.targets, common["members"], tree_params, common["seed"],
+        individual = fit_individual(fitted.features, fitted.targets, tree_params)
+    else:
+        ensemble = generate_ensemble(
+            fitted.features, fitted.targets, common["members"], tree_params, common["seed"],
+        )
+    key = (algo, measure if algo in DYNAMIC_ALGORITHMS else "")
+    answers = predict_queries(
+        [key], fitted.features, fitted.targets, query_x, common["k"], ensemble, individual,
     )
-    qpreds = ensemble.predict_all(query_x)
-    train_preds = None
-    if algo in DYNAMIC_ALGORITHMS:
-        train_preds = ensemble.predict_all(fitted.features)
-    for j in range(query_x.shape[0]):
-        qp = qpreds[:, j]
+    for j, answer in enumerate(answers):
+        value, provenance = answer[key]
         note = ""
-        if algo == "mean":
-            value = float(qp.mean())
-        elif algo == "median":
-            value = float(np.median(qp))
-        else:
-            region = build_region(
-                query_x[j], fitted.features, fitted.targets,
-                ensemble, common["k"], reference_predictions=train_preds,
-            )
-            scores = score_all(measure, region, qp)
-            if algo == "ds":
-                value, winner = ds_predict(scores, qp)
-                note = f"  ({measure}: selected member {winner})"
-            elif algo == "dw":
-                value = dw_predict(dw_weights(scores), qp)
-            else:
-                value, weights = dws_predict(scores, qp)
-                kept = np.flatnonzero(weights.selected)
-                shown = ", ".join(
-                    f"{i}*{weights.alpha[i]:.4f}" for i in kept[:10]
-                )
-                if kept.size > 10:
-                    shown += f", +{kept.size - 10} more"
-                note = f"  ({measure}: kept {kept.size}/{len(ensemble.members)} members: {shown})"
+        if algo == "ds":
+            note = f"  ({measure}: selected member {provenance})"
+        elif algo == "dws":
+            kept = np.flatnonzero(provenance.selected)
+            shown = ", ".join(f"{i}*{provenance.alpha[i]:.4f}" for i in kept[:10])
+            if kept.size > 10:
+                shown += f", +{kept.size - 10} more"
+            note = f"  ({measure}: kept {kept.size}/{len(ensemble.members)} members: {shown})"
         print(f"query {j}: {to_original(value):.6f}{note}")
     return 0
 
@@ -364,7 +349,7 @@ def cmd_inspect(ns) -> int:
         if m == "m1" and region.k < 2:
             columns[m] = np.full(len(ensemble.members), np.nan)
         else:
-            columns[m] = score_all(m, region, qp).per_member
+            columns[m] = score_all(m, region, qp)
     print(f"\ncompetence scores per member (lower is better):")
     print("  member  " + "  ".join(f"{m:>10}" for m in MEASURE_IDS))
     for i in range(len(ensemble.members)):

@@ -5,14 +5,22 @@ score where LOWER means MORE competent. Seven are error functionals over
 the region; m1 is the spread of the member's local predictions, oriented
 the same way so all eight share one argmin interface.
 
-Notation used below: f(t_k) is the observed target of neighbor k, fh_n(t_k)
-is member n's prediction on neighbor k, fh_n(x) its prediction at the query,
-and d_k the normalized inverse-distance weight of neighbor k.
+With f(t_k) the observed target of neighbor k, fh_n(t_k) member n's
+prediction on neighbor k, fh_n(x) its prediction at the query and d_k the
+normalized inverse-distance weight of neighbor k, member n scores:
+
+    m1  sample variance (divisor K-1) of fh_n(t_1..t_K); needs K >= 2
+    m2  sum_k |f(t_k) - fh_n(t_k)| * d_k
+    m3  sum_k (f(t_k) - fh_n(t_k))^2 * d_k
+    m4  min_k (f(t_k) - fh_n(t_k))^2 * d_k
+    m5  max_k (f(t_k) - fh_n(t_k))^2 * d_k
+    m6  sum_k (f(t_k) - fh_n(x))^2 * d_k, the only measure that uses the
+        query prediction and ignores the neighbor predictions
+    m7  sum_k sqrt((f(t_k) - fh_n(t_k))^2 * d_k)
+    m8  (f(t_1) - fh_n(t_1))^2 on the nearest neighbor only, unweighted
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,85 +29,16 @@ from .region import RegionOfCompetence
 MEASURE_IDS = ("m1", "m2", "m3", "m4", "m5", "m6", "m7", "m8")
 
 
-@dataclass(frozen=True)
-class CompetenceScore:
-    """Per-member scores for one measure over one region (lower = more competent)."""
-
-    per_member: np.ndarray
-    measure_id: str
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "per_member", np.asarray(self.per_member, dtype=float)
-        )
-
-
-def m1_variance(region: RegionOfCompetence, member: int) -> float:
-    """Sample variance (divisor K-1) of the member's predictions on the neighbors."""
-    if region.k < 2:
-        raise ValueError("m1 needs at least 2 neighbors")
-    return float(np.var(region.member_predictions[member], ddof=1))
-
-
-def m2_sum_abs_error(region: RegionOfCompetence, member: int) -> float:
-    """sum_k |f(t_k) - fh_n(t_k)| * d_k"""
-    err = np.abs(region.observed - region.member_predictions[member])
-    return float(np.sum(err * region.d_weights))
-
-
-def m3_sum_sq_error(region: RegionOfCompetence, member: int) -> float:
-    """sum_k (f(t_k) - fh_n(t_k))^2 * d_k"""
-    err = (region.observed - region.member_predictions[member]) ** 2
-    return float(np.sum(err * region.d_weights))
-
-
-def m4_min_sq_error(region: RegionOfCompetence, member: int) -> float:
-    """min_k (f(t_k) - fh_n(t_k))^2 * d_k"""
-    err = (region.observed - region.member_predictions[member]) ** 2
-    return float(np.min(err * region.d_weights))
-
-
-def m5_max_sq_error(region: RegionOfCompetence, member: int) -> float:
-    """max_k (f(t_k) - fh_n(t_k))^2 * d_k"""
-    err = (region.observed - region.member_predictions[member]) ** 2
-    return float(np.max(err * region.d_weights))
-
-
-def m6_neighbor_similarity(
-    region: RegionOfCompetence, member: int, query_prediction: float
-) -> float:
-    """sum_k (f(t_k) - fh_n(x))^2 * d_k
-
-    How far the member's prediction AT THE QUERY sits from the observed
-    neighborhood targets; the only measure that uses the query prediction,
-    and the only one that ignores the member's neighbor predictions.
-    """
-    del member
-    err = (region.observed - query_prediction) ** 2
-    return float(np.sum(err * region.d_weights))
-
-
-def m7_root_sum_sq_error(region: RegionOfCompetence, member: int) -> float:
-    """sum_k sqrt((f(t_k) - fh_n(t_k))^2 * d_k)"""
-    err = (region.observed - region.member_predictions[member]) ** 2
-    return float(np.sum(np.sqrt(err * region.d_weights)))
-
-
-def m8_closest_sq_error(region: RegionOfCompetence, member: int) -> float:
-    """(f(t_1) - fh_n(t_1))^2 on the nearest neighbor only, unweighted."""
-    return float((region.observed[0] - region.member_predictions[member, 0]) ** 2)
-
-
 def score_all(
     measure_id: str,
     region: RegionOfCompetence,
     query_predictions=None,
-) -> CompetenceScore:
+) -> np.ndarray:
     """Evaluate one measure for every ensemble member of a region at once.
 
-    ``query_predictions`` (one prediction per member at the query pattern)
-    is required by m6 and ignored by the others. Measure ids are
-    case-insensitive.
+    Returns the (N,) score vector, one score per member. ``query_predictions``
+    (one prediction per member at the query pattern) is required by m6 and
+    ignored by the others. Measure ids are case-insensitive.
     """
     mid = measure_id.lower()
     preds = region.member_predictions
@@ -133,4 +72,4 @@ def score_all(
         scores = (observed[0] - preds[:, 0]) ** 2
     else:
         raise ValueError(f"unknown measure id {measure_id!r}; expected one of {MEASURE_IDS}")
-    return CompetenceScore(scores, mid)
+    return scores

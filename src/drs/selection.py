@@ -1,10 +1,11 @@
-"""Combining the ensemble per query: DS, DW, DWS, and the static baselines.
+"""Combining the ensemble per query: DS, DW and DWS.
 
 DS picks the single member with the best (lowest) competence score. DW
 keeps everyone but weights each member by the inverse square root of its
 score. DWS first discards members whose score falls in the upper half of
 the observed score interval, then applies the DW weighting to the
-survivors. Mean and Median ignore competence entirely.
+survivors. The static mean and median baselines ignore competence and
+need no combiner of their own (see ``bench.predict_queries``).
 """
 
 from __future__ import annotations
@@ -28,16 +29,12 @@ class MemberWeights:
         object.__setattr__(self, "selected", np.asarray(self.selected, dtype=bool))
 
 
-def _as_scores(scores) -> np.ndarray:
-    return np.asarray(getattr(scores, "per_member", scores), dtype=float)
-
-
 def ds_predict(scores, query_predictions) -> tuple[float, int]:
     """Select the member with the lowest score; return its query prediction.
 
     Ties go to the lowest member index.
     """
-    s = _as_scores(scores)
+    s = np.asarray(scores, dtype=float)
     preds = np.asarray(query_predictions, dtype=float)
     winner = int(np.argmin(s))
     return float(preds[winner]), winner
@@ -52,7 +49,7 @@ def dw_weights(scores) -> MemberWeights:
     to positive rescaling of the score vector while every score stays at or
     above 1e-12.
     """
-    s = _as_scores(scores)
+    s = np.asarray(scores, dtype=float)
     if np.any(s < 0):
         raise ValueError("scores must be nonnegative")
     zero = s < ZERO_SCORE_TOL
@@ -70,7 +67,7 @@ def dw_predict(weights: MemberWeights, query_predictions) -> float:
     return float(weights.alpha @ preds)
 
 
-def dws_predict(scores, query_predictions, literal_threshold: bool = False):
+def dws_predict(scores, query_predictions):
     """Discard high-error members, then combine the survivors as in DW.
 
     The cut is at the midpoint of the observed score interval,
@@ -78,20 +75,12 @@ def dws_predict(scores, query_predictions, literal_threshold: bool = False):
     discarded and the DW weights are recomputed over the rest, so the
     best-scoring member always survives and the survivor set is never
     empty. Returns (prediction, MemberWeights).
-
-    ``literal_threshold`` switches to the alternative cut
-    tau = (s_max - s_min)/2 for comparison runs; that rule can exclude
-    every member, in which case the lowest-scoring member is kept so a
-    prediction is always produced.
     """
-    s = _as_scores(scores)
+    s = np.asarray(scores, dtype=float)
     preds = np.asarray(query_predictions, dtype=float)
     s_min = s.min()
     s_max = s.max()
-    if literal_threshold:
-        tau = (s_max - s_min) / 2.0
-    else:
-        tau = s_min + (s_max - s_min) / 2.0
+    tau = s_min + (s_max - s_min) / 2.0
     survivors = s <= tau
     if not survivors.any():
         survivors[np.argmin(s)] = True
@@ -101,12 +90,3 @@ def dws_predict(scores, query_predictions, literal_threshold: bool = False):
     weights = MemberWeights(alpha, survivors)
     return float(alpha @ preds), weights
 
-
-def static_mean(query_predictions) -> float:
-    """Arithmetic mean of all member predictions."""
-    return float(np.mean(np.asarray(query_predictions, dtype=float)))
-
-
-def static_median(query_predictions) -> float:
-    """Middle order statistic; even counts average the two middle values."""
-    return float(np.median(np.asarray(query_predictions, dtype=float)))

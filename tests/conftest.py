@@ -1,5 +1,6 @@
 """Shared fixtures and small builders used across the test modules."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,32 @@ def random_region(rng: np.random.Generator, k: int, n_members: int) -> RegionOfC
         observed=rng.normal(size=k),
         member_predictions=rng.normal(size=(n_members, k)),
     )
+
+
+def oracle_score(measure, observed, d, preds_on_region, query_pred):
+    """Brute-force reference for one member's competence, pure Python."""
+    K = len(observed)
+    if measure == "m1" and K < 2:
+        raise ValueError("m1 needs at least 2 neighbors")
+    errs = [observed[k] - preds_on_region[k] for k in range(K)]
+    if measure == "m1":
+        mean = sum(preds_on_region) / K
+        return sum((p - mean) ** 2 for p in preds_on_region) / (K - 1)
+    if measure == "m2":
+        return sum(abs(errs[k]) * d[k] for k in range(K))
+    if measure == "m3":
+        return sum(errs[k] ** 2 * d[k] for k in range(K))
+    if measure == "m4":
+        return min(errs[k] ** 2 * d[k] for k in range(K))
+    if measure == "m5":
+        return max(errs[k] ** 2 * d[k] for k in range(K))
+    if measure == "m6":
+        return sum((observed[k] - query_pred) ** 2 * d[k] for k in range(K))
+    if measure == "m7":
+        return sum(math.sqrt(errs[k] ** 2 * d[k]) for k in range(K))
+    if measure == "m8":
+        return errs[0] ** 2
+    raise AssertionError(measure)
 
 
 def write_csv(path: Path, features: np.ndarray, targets: np.ndarray, header=None) -> Path:

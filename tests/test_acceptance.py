@@ -8,7 +8,6 @@ the m3/m7 agreement report, and reporting fidelity.
 """
 
 import csv
-import math
 import re
 import time
 from pathlib import Path
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR, random_region, synthetic_dataset, write_csv
+from conftest import DATA_DIR, oracle_score, random_region, synthetic_dataset, write_csv
 from drs.bench import (
     DEFAULT_SEED,
     RunConfig,
@@ -53,30 +52,6 @@ def report(capsys):
     return _report
 
 
-def oracle_score(measure, observed, d, preds_on_region, query_pred):
-    """Brute-force reference for one member's competence, pure Python."""
-    K = len(observed)
-    errs = [observed[k] - preds_on_region[k] for k in range(K)]
-    if measure == "m1":
-        mean = sum(preds_on_region) / K
-        return sum((p - mean) ** 2 for p in preds_on_region) / (K - 1)
-    if measure == "m2":
-        return sum(abs(errs[k]) * d[k] for k in range(K))
-    if measure == "m3":
-        return sum(errs[k] ** 2 * d[k] for k in range(K))
-    if measure == "m4":
-        return min(errs[k] ** 2 * d[k] for k in range(K))
-    if measure == "m5":
-        return max(errs[k] ** 2 * d[k] for k in range(K))
-    if measure == "m6":
-        return sum((observed[k] - query_pred) ** 2 * d[k] for k in range(K))
-    if measure == "m7":
-        return sum(math.sqrt(errs[k] ** 2 * d[k]) for k in range(K))
-    if measure == "m8":
-        return errs[0] ** 2
-    raise AssertionError(measure)
-
-
 def test_criterion_1_measure_oracle_suite(report):
     rng = np.random.default_rng(101)
     ks = (1, 2, 5, 10)
@@ -92,7 +67,7 @@ def test_criterion_1_measure_oracle_suite(report):
         for measure in MEASURE_IDS:
             if measure == "m1" and k < 2:
                 continue  # variance needs two neighbors; the library refuses K=1
-            got = score_all(measure, region, qp).per_member
+            got = score_all(measure, region, qp)
             for member in range(n):
                 want = oracle_score(
                     measure,
@@ -125,7 +100,7 @@ def test_criterion_2_worked_fixture(two_neighbor_region, report):
     }
     qp = np.array([0.6])
     worst = max(
-        abs(float(score_all(m, two_neighbor_region, qp).per_member[0]) - want)
+        abs(float(score_all(m, two_neighbor_region, qp)[0]) - want)
         for m, want in expected.items()
     )
     report(

@@ -1,22 +1,11 @@
-"""The eight competence measures: worked values, scalar/vector agreement,
+"""The eight competence measures: worked values, agreement with the oracle,
 and the structural properties that distinguish the measures."""
 
 import numpy as np
 import pytest
 
-from conftest import random_region
-from drs.measures import (
-    MEASURE_IDS,
-    m1_variance,
-    m2_sum_abs_error,
-    m3_sum_sq_error,
-    m4_min_sq_error,
-    m5_max_sq_error,
-    m6_neighbor_similarity,
-    m7_root_sum_sq_error,
-    m8_closest_sq_error,
-    score_all,
-)
+from conftest import oracle_score, random_region
+from drs.measures import MEASURE_IDS, score_all
 from drs.region import RegionOfCompetence
 
 EXPECTED_FIXTURE = {
@@ -31,39 +20,32 @@ EXPECTED_FIXTURE = {
 }
 
 
+def oracle(measure, region, member, query_prediction):
+    """``oracle_score`` for one member of a region."""
+    return oracle_score(
+        measure,
+        region.observed.tolist(),
+        region.d_weights.tolist(),
+        region.member_predictions[member].tolist(),
+        float(query_prediction),
+    )
+
+
 class TestWorkedExample:
     def test_scalar_functions(self, two_neighbor_region):
-        r = two_neighbor_region
-        assert m1_variance(r, 0) == pytest.approx(EXPECTED_FIXTURE["m1"], abs=1e-12)
-        assert m2_sum_abs_error(r, 0) == pytest.approx(EXPECTED_FIXTURE["m2"], abs=1e-12)
-        assert m3_sum_sq_error(r, 0) == pytest.approx(EXPECTED_FIXTURE["m3"], abs=1e-12)
-        assert m4_min_sq_error(r, 0) == pytest.approx(EXPECTED_FIXTURE["m4"], abs=1e-12)
-        assert m5_max_sq_error(r, 0) == pytest.approx(EXPECTED_FIXTURE["m5"], abs=1e-12)
-        assert m6_neighbor_similarity(r, 0, 0.6) == pytest.approx(
-            EXPECTED_FIXTURE["m6"], abs=1e-12
-        )
-        assert m7_root_sum_sq_error(r, 0) == pytest.approx(EXPECTED_FIXTURE["m7"], abs=1e-12)
-        assert m8_closest_sq_error(r, 0) == pytest.approx(EXPECTED_FIXTURE["m8"], abs=1e-12)
+        for mid, want in EXPECTED_FIXTURE.items():
+            got = oracle(mid, two_neighbor_region, 0, 0.6)
+            assert got == pytest.approx(want, abs=1e-12), mid
 
     def test_vectorized_path(self, two_neighbor_region):
         qp = np.array([0.6])
         for mid, want in EXPECTED_FIXTURE.items():
-            got = score_all(mid, two_neighbor_region, qp).per_member
+            got = score_all(mid, two_neighbor_region, qp)
             assert got.shape == (1,)
             assert got[0] == pytest.approx(want, abs=1e-12), mid
 
 
 class TestVectorizedAgreesWithScalar:
-    SCALARS = {
-        "m1": m1_variance,
-        "m2": m2_sum_abs_error,
-        "m3": m3_sum_sq_error,
-        "m4": m4_min_sq_error,
-        "m5": m5_max_sq_error,
-        "m7": m7_root_sum_sq_error,
-        "m8": m8_closest_sq_error,
-    }
-
     def test_random_regions(self):
         rng = np.random.default_rng(23)
         for trial in range(100):
@@ -71,15 +53,10 @@ class TestVectorizedAgreesWithScalar:
             n = int(rng.integers(1, 9))
             region = random_region(rng, k, n)
             qp = rng.normal(size=n)
-            for mid, fn in self.SCALARS.items():
-                vec = score_all(mid, region, qp).per_member
+            for mid in MEASURE_IDS:
+                vec = score_all(mid, region, qp)
                 for i in range(n):
-                    assert vec[i] == pytest.approx(fn(region, i), abs=1e-12), mid
-            vec6 = score_all("m6", region, qp).per_member
-            for i in range(n):
-                assert vec6[i] == pytest.approx(
-                    m6_neighbor_similarity(region, i, qp[i]), abs=1e-12
-                )
+                    assert vec[i] == pytest.approx(oracle(mid, region, i, qp[i]), abs=1e-12), mid
 
 
 class TestMeasureStructure:
@@ -87,7 +64,7 @@ class TestMeasureStructure:
         rng = np.random.default_rng(4)
         region = random_region(rng, 1, 3)
         with pytest.raises(ValueError, match="m1"):
-            m1_variance(region, 0)
+            oracle("m1", region, 0, 0.0)
         with pytest.raises(ValueError, match="m1"):
             score_all("m1", region, rng.normal(size=3))
 
@@ -102,7 +79,7 @@ class TestMeasureStructure:
             region.member_predictions,
         )
         assert np.array_equal(
-            score_all("m1", region).per_member, score_all("m1", shifted).per_member
+            score_all("m1", region), score_all("m1", shifted)
         )
 
     def test_m6_depends_only_on_query_prediction(self):
@@ -117,8 +94,8 @@ class TestMeasureStructure:
         )
         qp = rng.normal(size=3)
         assert np.allclose(
-            score_all("m6", region, qp).per_member,
-            score_all("m6", scrambled, qp).per_member,
+            score_all("m6", region, qp),
+            score_all("m6", scrambled, qp),
             atol=1e-15,
         )
 
@@ -139,15 +116,15 @@ class TestMeasureStructure:
             perturbed_preds,
         )
         assert np.array_equal(
-            score_all("m8", region).per_member, score_all("m8", perturbed).per_member
+            score_all("m8", region), score_all("m8", perturbed)
         )
 
     def test_min_never_exceeds_max(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
             region = random_region(rng, int(rng.integers(2, 9)), 5)
-            m4 = score_all("m4", region).per_member
-            m5 = score_all("m5", region).per_member
+            m4 = score_all("m4", region)
+            m5 = score_all("m5", region)
             assert np.all(m4 <= m5 + 1e-15)
 
     def test_scores_are_nonnegative_except_m1_zero_floor(self):
@@ -156,12 +133,12 @@ class TestMeasureStructure:
         for _ in range(30):
             region = random_region(rng, 7, 6)
             for mid in MEASURE_IDS:
-                scores = score_all(mid, region, qp).per_member
+                scores = score_all(mid, region, qp)
                 assert np.all(scores >= 0.0), mid
 
     def test_identifier_case_insensitive(self, two_neighbor_region):
-        a = score_all("M3", two_neighbor_region).per_member
-        b = score_all("m3", two_neighbor_region).per_member
+        a = score_all("M3", two_neighbor_region)
+        b = score_all("m3", two_neighbor_region)
         assert np.array_equal(a, b)
 
     def test_unknown_identifier_rejected(self, two_neighbor_region):
@@ -179,5 +156,5 @@ class TestMeasureStructure:
             np.vstack([region.observed, region.member_predictions[1]]),
         )
         for mid in ("m2", "m3", "m4", "m5", "m7", "m8"):
-            scores = score_all(mid, perfect).per_member
+            scores = score_all(mid, perfect)
             assert scores[0] == pytest.approx(0.0, abs=1e-15), mid

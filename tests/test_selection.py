@@ -1,17 +1,10 @@
-"""DS, DW, and DWS combiners plus the static baselines."""
+"""DS, DW, and DWS combiners."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drs.selection import (
-    ds_predict,
-    dw_predict,
-    dw_weights,
-    dws_predict,
-    static_mean,
-    static_median,
-)
+from drs.selection import ds_predict, dw_predict, dw_weights, dws_predict
 
 SCORES = st.lists(
     st.floats(min_value=1e-9, max_value=1e6, allow_nan=False), min_size=1, max_size=40
@@ -123,19 +116,6 @@ class TestDws:
         assert w.selected.all()
         assert value == pytest.approx(2.0)
 
-    def test_literal_threshold_can_discard_everyone_then_falls_back(self):
-        # scores [5, 6, 7]: (max-min)/2 = 1 excludes all; best member kept
-        value, w = dws_predict([5.0, 6.0, 7.0], [10.0, 20.0, 30.0], literal_threshold=True)
-        assert list(w.selected) == [True, False, False]
-        assert value == 10.0
-
-    def test_literal_threshold_differs_from_midpoint(self):
-        scores = [5.0, 6.0, 7.0]
-        _, mid = dws_predict(scores, [0.0, 0.0, 0.0])
-        _, lit = dws_predict(scores, [0.0, 0.0, 0.0], literal_threshold=True)
-        assert list(mid.selected) == [True, True, False]
-        assert list(lit.selected) == [True, False, False]
-
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_survivors_nonempty_include_best_and_bound_output(self, data):
@@ -151,11 +131,3 @@ class TestDws:
         assert w.alpha[~w.selected].sum() == 0.0
         assert w.alpha.sum() == pytest.approx(1.0, abs=1e-9)
 
-
-class TestStaticBaselines:
-    def test_mean(self):
-        assert static_mean([1.0, 2.0, 6.0]) == 3.0
-
-    def test_median_odd_and_even(self):
-        assert static_median([5.0, 1.0, 3.0]) == 3.0
-        assert static_median([1.0, 2.0, 3.0, 10.0]) == 2.5
