@@ -9,6 +9,7 @@ file (by default the last one); every other column is a feature.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,28 +132,36 @@ def read_numeric_csv(path) -> tuple[np.ndarray, list[str] | None]:
             raise DatasetError(f"{path}: no data rows after header")
 
     n_cols = len(rows[0])
-    values = np.empty((len(rows), n_cols), dtype=float)
+    values = []
     for i, row in enumerate(rows):
         if len(row) != n_cols:
             raise DatasetError(
                 f"{path}: ragged row {first_data_line + i}: "
                 f"expected {n_cols} cells, found {len(row)}"
             )
-        for j, cell in enumerate(row):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise DatasetError(
-                    f"{path}: non-numeric cell {cell!r} at row "
-                    f"{first_data_line + i}, column {j + 1}"
-                ) from None
-            if not np.isfinite(v):
-                raise DatasetError(
-                    f"{path}: non-finite cell {cell!r} at row "
-                    f"{first_data_line + i}, column {j + 1}"
-                )
-            values[i, j] = v
-    return values, column_names
+        try:
+            parsed = [float(c) for c in row]
+        except ValueError:
+            parsed = None
+        if parsed is None or not all(map(math.isfinite, parsed)):
+            _raise_bad_cell(path, row, first_data_line + i)
+        values.append(parsed)
+    return np.array(values, dtype=float), column_names
+
+
+def _raise_bad_cell(path, row, line):
+    """Name the first cell of ``row`` that is not a finite number."""
+    for j, cell in enumerate(row):
+        try:
+            v = float(cell)
+        except ValueError:
+            raise DatasetError(
+                f"{path}: non-numeric cell {cell!r} at row {line}, column {j + 1}"
+            ) from None
+        if not math.isfinite(v):
+            raise DatasetError(
+                f"{path}: non-finite cell {cell!r} at row {line}, column {j + 1}"
+            )
 
 
 def load_csv(path, target_column: int | str = -1) -> Dataset:

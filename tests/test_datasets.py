@@ -13,6 +13,7 @@ from drs.datasets import (
     kfold_split,
     load_csv,
     normalize_minmax,
+    read_numeric_csv,
 )
 
 
@@ -81,6 +82,26 @@ class TestLoadCsv:
         p.write_text("1,2,nan\n")
         with pytest.raises(DatasetError, match="non-finite"):
             load_csv(p)
+
+    def test_first_bad_cell_in_row_order_is_named(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("1,2,3\n1,inf,abc\n")
+        with pytest.raises(DatasetError, match=r"non-finite cell 'inf' at row 2, column 2"):
+            read_numeric_csv(p)
+
+    def test_earlier_row_beats_later_row(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("x,y,z\n1,2,3\n4,-inf,6\n7,abc,9\n")
+        with pytest.raises(DatasetError, match=r"non-finite cell '-inf' at row 3, column 2"):
+            read_numeric_csv(p)
+
+    def test_values_parse_exactly(self, tmp_path):
+        p = tmp_path / "v.csv"
+        p.write_text("a,b\n0.1, 2e-3\n-7,1e300\n")
+        values, header = read_numeric_csv(p)
+        assert header == ["a", "b"]
+        assert values.dtype == float and values.shape == (2, 2)
+        assert values.tolist() == [[0.1, 2e-3], [-7.0, 1e300]]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="cannot read"):
