@@ -53,16 +53,16 @@ print(f"fitted: 1 individual tree and {MEMBERS} bagged members")
 # every algorithm answers every query; the dynamic ones rank members by m3
 keys = [(a, "m3" if a in DYNAMIC_ALGORITHMS else "") for a in ALGORITHMS]
 predictions = {key: np.empty(test.n_instances) for key in keys}
-switches = 0
-previous_winner = None
+winners = np.empty(test.n_instances, dtype=int)
+# answers come in blocks of consecutive test rows, starting at row `start`
 answers = predict_queries(keys, train.features, train.targets, test.features,
                           K, ensemble, single)
-for j, answer in enumerate(answers):
+for start, answer in answers:
     for key in keys:
-        predictions[key][j] = answer[key][0]
-    winner = answer[("ds", "m3")][1]
-    switches += int(previous_winner is not None and winner != previous_winner)
-    previous_winner = winner
+        values = answer[key][0]
+        predictions[key][start:start + len(values)] = values
+    winners[start:start + len(values)] = answer[("ds", "m3")][1]
+switches = int(np.count_nonzero(winners[1:] != winners[:-1]))
 
 print(f"\nds changed its selected member on {switches} of "
       f"{test.n_instances - 1} consecutive queries: competence is local")

@@ -34,6 +34,9 @@ ALGORITHMS = ("single", "mean", "median", "ds", "dw", "dws")
 DYNAMIC_ALGORITHMS = ("ds", "dw", "dws")
 NORMALIZATION_MODES = ("global", "fold", "none")
 SCALES = ("1e-4", "raw")
+# Largest (query, reference row, feature) cell count of one query block. It
+# bounds the block's distance temporary, and so the query path's memory.
+_QUERY_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -151,13 +154,16 @@ def displayed_value(mean: float, scale: str = "1e-4") -> float:
 def predict_queries(keys, reference_X, reference_y, query_X, k, ensemble, individual=None):
     """Answer every query row with every (algorithm, measure) in ``keys``.
 
-    Yields, for each row of ``query_X`` in order, a dict
-    ``{(algorithm, measure): (prediction, provenance)}``. Provenance is None
-    for the baselines, the selected member for ds and the ``MemberWeights``
+    Answers blocks of consecutive query rows, in order, and yields
+    ``(start, {(algorithm, measure): (predictions, provenance)})`` per
+    block, where ``start`` is the block's first row and ``predictions`` is
+    a (B,) array for its B rows. Provenance is None for the baselines, the
+    (B,) selected members for ds and the ``MemberWeights`` with (B, N) rows
     for dw and dws. The dynamic algorithms score the members over the k
-    nearest reference rows, once per measure. ``ensemble`` may be None when
-    ``keys`` holds only ``("single", "")``, and ``individual`` is needed only
-    for that key. A generator, so no per-query provenance is kept.
+    nearest reference rows, once per measure and block; every row comes out
+    bit for bit as it would alone. ``ensemble`` may be None when ``keys``
+    holds only ``("single", "")``, and ``individual`` is needed only for
+    that key. A generator, so only one block's provenance is kept.
     """
     if ensemble is not None:
         member_qpreds = ensemble.predict_all(query_X)
@@ -171,13 +177,16 @@ def predict_queries(keys, reference_X, reference_y, query_X, k, ensemble, indivi
     measures = list(dict.fromkeys(m for a, m in keys if a in DYNAMIC_ALGORITHMS))
     if measures:
         reference_predictions = ensemble.predict_all(reference_X)
-    for j in range(len(query_X)):
+    block = max(1, _QUERY_CELLS // max(1, np.size(reference_X)))
+    for start in range(0, len(query_X), block):
+        stop = min(start + block, len(query_X))
         if measures:
             region = build_region(
-                query_X[j], reference_X, reference_y,
+                query_X[start:stop], reference_X, reference_y,
                 ensemble, k, reference_predictions=reference_predictions,
             )
-            qp = member_qpreds[:, j]
+            # Strided like a one-query column, so the weighted sums round alike.
+            qp = member_qpreds[:, start:stop].T
             scores = {m: score_all(m, region, qp) for m in measures}
         answers = {}
         for algo, m in keys:
@@ -189,8 +198,8 @@ def predict_queries(keys, reference_X, reference_y, query_X, k, ensemble, indivi
             elif algo == "dws":
                 answers[(algo, m)] = dws_predict(scores[m], qp)
             else:
-                answers[(algo, m)] = (float(baselines[(algo, m)][j]), None)
-        yield answers
+                answers[(algo, m)] = (baselines[(algo, m)][start:stop], None)
+        yield start, answers
 
 
 def run_replication(config: RunConfig, dataset: Dataset, replication_seed: int):
@@ -241,12 +250,14 @@ def run_replication(config: RunConfig, dataset: Dataset, replication_seed: int):
             keys, train.features, train.targets, test.features,
             config.k, ensemble, individual,
         )
-        for j, answer in enumerate(answers):
+        for start, answer in answers:
             for key in keys:
-                predictions[key][j] = answer[key][0]
+                values = answer[key][0]
+                predictions[key][start : start + len(values)] = values
             if config.tracks_agreement:
-                agree_hits += int(answer[("ds", "m3")][1] == answer[("ds", "m7")][1])
-                agree_total += 1
+                same = answer[("ds", "m3")][1] == answer[("ds", "m7")][1]
+                agree_hits += int(same.sum())
+                agree_total += same.size
 
         for key in keys:
             fold_mse = mse(predictions[key], test.targets)

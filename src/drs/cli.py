@@ -273,9 +273,6 @@ def cmd_predict(ns) -> int:
         query_x = apply_minmax(query, params)
     tree_params = _tree_params(ns, file_values)
 
-    def to_original(v: float) -> float:
-        return float(denormalize_targets([v], params)[0]) if params else float(v)
-
     ensemble = individual = None
     if algo == "single":
         individual = fit_individual(fitted.features, fitted.targets, tree_params)
@@ -287,18 +284,26 @@ def cmd_predict(ns) -> int:
     answers = predict_queries(
         [key], fitted.features, fitted.targets, query_x, common["k"], ensemble, individual,
     )
-    for j, answer in enumerate(answers):
-        value, provenance = answer[key]
-        note = ""
+    for start, answer in answers:
+        values, provenance = answer[key]
+        if params:
+            values = denormalize_targets(values, params)
+        notes = [""] * len(values)
         if algo == "ds":
-            note = f"  ({measure}: selected member {provenance})"
+            notes = [f"  ({measure}: selected member {i})" for i in provenance.tolist()]
         elif algo == "dws":
-            kept = np.flatnonzero(provenance.selected)
-            shown = ", ".join(f"{i}*{provenance.alpha[i]:.4f}" for i in kept[:10])
-            if kept.size > 10:
-                shown += f", +{kept.size - 10} more"
-            note = f"  ({measure}: kept {kept.size}/{len(ensemble.members)} members: {shown})"
-        print(f"query {j}: {to_original(value):.6f}{note}")
+            rows = zip(provenance.selected.tolist(), provenance.alpha.tolist())
+            for j, (selected, alpha) in enumerate(rows):
+                kept = [i for i, s in enumerate(selected) if s]
+                shown = ", ".join(f"{i}*{alpha[i]:.4f}" for i in kept[:10])
+                if len(kept) > 10:
+                    shown += f", +{len(kept) - 10} more"
+                notes[j] = (f"  ({measure}: kept {len(kept)}/{len(ensemble.members)} "
+                            f"members: {shown})")
+        sys.stdout.write("".join(
+            f"query {j}: {v:.6f}{note}\n"
+            for j, (v, note) in enumerate(zip(values.tolist(), notes), start=start)
+        ))
     return 0
 
 

@@ -18,6 +18,9 @@ normalized inverse-distance weight of neighbor k, member n scores:
         query prediction and ignores the neighbor predictions
     m7  sum_k sqrt((f(t_k) - fh_n(t_k))^2 * d_k)
     m8  (f(t_1) - fh_n(t_1))^2 on the nearest neighbor only, unweighted
+
+A region of a block of B queries scores to a (B, N) matrix, each row bit
+for bit the score vector of that query's region alone.
 """
 
 from __future__ import annotations
@@ -36,40 +39,44 @@ def score_all(
 ) -> np.ndarray:
     """Evaluate one measure for every ensemble member of a region at once.
 
-    Returns the (N,) score vector, one score per member. ``query_predictions``
-    (one prediction per member at the query pattern) is required by m6 and
+    Returns the (N,) score vector, one score per member, or (B, N) for the
+    region of a block of B queries. ``query_predictions`` (one prediction
+    per member at the query pattern, (N,) or (B, N)) is required by m6 and
     ignored by the others. Measure ids are case-insensitive.
     """
     mid = measure_id.lower()
     preds = region.member_predictions
-    observed = region.observed
-    d = region.d_weights
+    observed = region.observed[..., None, :]
+    d = region.d_weights[..., None, :]
+    # The weighted sums are matrix-vector products, (N, K) @ (K, 1) per
+    # query, which round the same whether or not a batch axis leads.
+    d_column = region.d_weights[..., None]
     if mid == "m1":
         if region.k < 2:
             raise ValueError("m1 needs at least 2 neighbors")
-        scores = np.var(preds, axis=1, ddof=1)
+        scores = np.var(preds, axis=-1, ddof=1)
     elif mid == "m2":
-        scores = np.abs(observed - preds) @ d
+        scores = (np.abs(observed - preds) @ d_column)[..., 0]
     elif mid == "m3":
-        scores = ((observed - preds) ** 2) @ d
+        scores = (((observed - preds) ** 2) @ d_column)[..., 0]
     elif mid == "m4":
-        scores = ((observed - preds) ** 2 * d).min(axis=1)
+        scores = ((observed - preds) ** 2 * d).min(axis=-1)
     elif mid == "m5":
-        scores = ((observed - preds) ** 2 * d).max(axis=1)
+        scores = ((observed - preds) ** 2 * d).max(axis=-1)
     elif mid == "m6":
         if query_predictions is None:
             raise ValueError("m6 requires query_predictions")
         qp = np.asarray(query_predictions, dtype=float)
-        if qp.shape != (region.n_members,):
+        if qp.shape != preds.shape[:-1]:
             raise ValueError(
                 f"query_predictions must have one entry per member "
                 f"({region.n_members}), got shape {qp.shape}"
             )
-        scores = ((observed[None, :] - qp[:, None]) ** 2) @ d
+        scores = (((observed - qp[..., None]) ** 2) @ d_column)[..., 0]
     elif mid == "m7":
-        scores = np.sqrt((observed - preds) ** 2 * d).sum(axis=1)
+        scores = np.sqrt((observed - preds) ** 2 * d).sum(axis=-1)
     elif mid == "m8":
-        scores = (observed[0] - preds[:, 0]) ** 2
+        scores = (region.observed[..., :1] - preds[..., 0]) ** 2
     else:
         raise ValueError(f"unknown measure id {measure_id!r}; expected one of {MEASURE_IDS}")
     return scores

@@ -5,6 +5,10 @@ folds this library targets are small enough that an index would buy nothing
 and exactness keeps the competence scores auditable. Each neighbor also
 carries a normalized inverse-distance weight: nearer neighbors count more,
 and the weights sum to one.
+
+Every function here takes one query or a block of B queries: a leading
+batch axis on the input gives a leading batch axis on every output, and
+each row of a block comes out bit for bit as it would alone.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ ZERO_DISTANCE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RegionOfCompetence:
-    """The K nearest training patterns to one query, with per-member predictions.
+    """The K nearest training patterns to a query, with per-member predictions.
 
     neighbor_indices   : K training-set row indices, ascending distance
     distances          : K Euclidean distances, sorted ascending
@@ -26,6 +30,9 @@ class RegionOfCompetence:
     observed           : K observed target values of the neighbors
     member_predictions : (N, K) matrix; row n holds member n's predictions
                          on the K neighbors
+
+    A region of a block of B queries has a leading batch axis on every
+    field: (B, K) for the first four and (B, N, K) for member_predictions.
     """
 
     neighbor_indices: np.ndarray
@@ -36,18 +43,19 @@ class RegionOfCompetence:
 
     @property
     def k(self) -> int:
-        return len(self.neighbor_indices)
+        return self.neighbor_indices.shape[-1]
 
     @property
     def n_members(self) -> int:
-        return self.member_predictions.shape[0]
+        return self.member_predictions.shape[-2]
 
 
 def find_neighbors(x, reference_features, k: int):
     """Indices and distances of the k reference rows nearest to x.
 
-    Distances are Euclidean, returned ascending; ties break toward the
-    lower row index.
+    ``x`` is one query (d,) or a block of queries (B, d); the results are
+    (k,) or (B, k). Distances are Euclidean, returned ascending; ties break
+    toward the lower row index, as a stable argsort of each row's distances.
     """
     ref = np.asarray(reference_features, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -57,9 +65,26 @@ def find_neighbors(x, reference_features, k: int):
         raise ValueError(f"k ({k}) exceeds reference size ({ref.shape[0]})")
     if x.shape[-1] != ref.shape[1]:
         raise ValueError(f"query has {x.shape[-1]} features, reference has {ref.shape[1]}")
-    dist = np.sqrt(((ref - x) ** 2).sum(axis=1))
-    nearest = np.argsort(dist, kind="stable")[:k]
-    return nearest, dist[nearest]
+    if x.ndim == 1:
+        nearest, dist = find_neighbors(x[None], ref, k)
+        return nearest[0], dist[0]
+    diff = ref - x[:, None, :]
+    diff **= 2
+    dist = np.sqrt(diff.sum(axis=-1))
+    # Rows with exactly k distances at or below the k-th smallest hold their
+    # k nearest in row order, so a stable sort of those k gives the stable
+    # argsort's answer; rows tied at the k-th distance take the full sort.
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+    candidates = dist <= kth
+    exact = candidates.sum(axis=1) == k
+    nearest = np.empty((len(x), k), dtype=np.intp)
+    if exact.any():
+        rows = np.nonzero(candidates[exact])[1].reshape(-1, k)
+        order = np.argsort(np.take_along_axis(dist[exact], rows, axis=1), axis=1, kind="stable")
+        nearest[exact] = np.take_along_axis(rows, order, axis=1)
+    if not exact.all():
+        nearest[~exact] = np.argsort(dist[~exact], axis=1, kind="stable")[:, :k]
+    return nearest, np.take_along_axis(dist, nearest, axis=1)
 
 
 def inverse_distance_weights(distances) -> np.ndarray:
@@ -69,18 +94,21 @@ def inverse_distance_weights(distances) -> np.ndarray:
     used there: if any distance is below 1e-12, the z zero-distance entries
     each get weight 1/z and all others get 0. The output always sums to 1
     and is invariant under positive rescaling of the distances while every
-    distance stays at or above 1e-12.
+    distance stays at or above 1e-12. ``distances`` is one region's (k,)
+    vector or a (B, k) block, weighted row by row.
     """
     dist = np.asarray(distances, dtype=float)
-    if dist.ndim != 1 or dist.size == 0:
-        raise ValueError("distances must be a non-empty 1-D array")
+    if dist.ndim not in (1, 2) or dist.shape[-1] == 0:
+        raise ValueError("distances must be a non-empty 1-D array or a (B, k) block")
     if np.any(dist < 0):
         raise ValueError("distances must be nonnegative")
     zero = dist < ZERO_DISTANCE_TOL
-    if zero.any():
-        return zero / zero.sum()
+    exact = zero.any(axis=-1, keepdims=True)
+    if exact.any():
+        # Zero distances become 1 and the rest infinite, so 1/dist is 1 or 0.
+        dist = np.where(exact, np.where(zero, 1.0, np.inf), dist)
     inv = 1.0 / dist
-    return inv / inv.sum()
+    return inv / inv.sum(axis=-1, keepdims=True)
 
 
 def build_region(
@@ -91,7 +119,7 @@ def build_region(
     k: int,
     reference_predictions: np.ndarray | None = None,
 ) -> RegionOfCompetence:
-    """Assemble the region of competence for one query pattern.
+    """Assemble the region of competence for one query (d,) or a block (B, d).
 
     Composes the neighbor search, the inverse-distance weights, the
     neighbors' observed targets, and every ensemble member's prediction on
@@ -107,5 +135,9 @@ def build_region(
     if reference_predictions is not None:
         member_preds = np.asarray(reference_predictions, dtype=float)[:, indices]
     else:
-        member_preds = ensemble.predict_all(ref_X[indices])
+        member_preds = ensemble.predict_all(ref_X[indices.ravel()])
+        member_preds = member_preds.reshape(len(member_preds), *indices.shape)
+    # A view, not a copy: each query's (N, K) slice keeps the memory order of
+    # a one-query gather, and with it the rounding of the measures' sums.
+    member_preds = np.moveaxis(member_preds, 0, -2)
     return RegionOfCompetence(indices, distances, weights, ref_y[indices], member_preds)

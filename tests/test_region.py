@@ -53,6 +53,35 @@ class TestFindNeighbors:
         with pytest.raises(ValueError, match="exceeds"):
             find_neighbors(np.zeros(2), ref, 4)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_block_rows_tie_like_a_stable_argsort(self, data):
+        # Coarse integer grids make many rows tie at the k-th distance.
+        n = data.draw(st.integers(1, 12))
+        d = data.draw(st.integers(1, 3))
+        cells = st.lists(st.integers(0, 2), min_size=d, max_size=d)
+        ref = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)), dtype=float)
+        block = np.array(data.draw(st.lists(cells, min_size=1, max_size=8)), dtype=float)
+        k = data.draw(st.integers(1, n))
+        idx, dist = find_neighbors(block, ref, k)
+        assert idx.shape == dist.shape == (len(block), k)
+        for x, row_idx, row_dist in zip(block, idx, dist):
+            alone = np.sqrt(((ref - x) ** 2).sum(axis=1))
+            want = np.argsort(alone, kind="stable")[:k]
+            assert row_idx.tolist() == want.tolist()
+            assert row_dist.tobytes() == alone[want].tobytes()
+            one_idx, one_dist = find_neighbors(x, ref, k)
+            assert one_idx.tolist() == want.tolist()
+            assert one_dist.tobytes() == row_dist.tobytes()
+
+    def test_tied_kth_distance_in_a_block(self):
+        ref = np.array([[1.0], [3.0], [0.0], [3.0], [-1.0]])
+        block = np.array([[2.0], [0.0], [1.0]])
+        idx, dist = find_neighbors(block, ref, 2)
+        # row 0: rows 0, 1 and 3 all sit at distance 1; row 2: rows 0 (0) then 2 (1).
+        assert idx.tolist() == [[0, 1], [2, 0], [0, 2]]
+        assert dist.tolist() == [[1.0, 1.0], [0.0, 1.0], [0.0, 1.0]]
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="features"):
             find_neighbors(np.zeros(3), np.zeros((5, 2)), 1)
