@@ -34,8 +34,9 @@ ALGORITHMS = ("single", "mean", "median", "ds", "dw", "dws")
 DYNAMIC_ALGORITHMS = ("ds", "dw", "dws")
 NORMALIZATION_MODES = ("global", "fold", "none")
 SCALES = ("1e-4", "raw")
-# Largest (query, reference row, feature) cell count of one query block. It
-# bounds the block's distance temporary, and so the query path's memory.
+# Largest cell count of one query block's per-query temporaries: the
+# (B, n_reference, d) distances and the (N, B, k) member predictions on the
+# neighbours, with the measures' (B, N, k) temporaries of the same size.
 _QUERY_CELLS = 1 << 18
 
 
@@ -151,6 +152,13 @@ def displayed_value(mean: float, scale: str = "1e-4") -> float:
     return float(f"{mean:.6g}")
 
 
+def _block_rows(reference_X, k, n_members) -> int:
+    """Query rows per block: as many as keep the larger per-query temporary,
+    n_reference * d distances or n_members * k gathered predictions, under
+    ``_QUERY_CELLS`` cells (pass n_members 0 when nothing is gathered)."""
+    return max(1, _QUERY_CELLS // max(1, np.size(reference_X), n_members * k))
+
+
 def predict_queries(keys, reference_X, reference_y, query_X, k, ensemble, individual=None):
     """Answer every query row with every (algorithm, measure) in ``keys``.
 
@@ -177,7 +185,7 @@ def predict_queries(keys, reference_X, reference_y, query_X, k, ensemble, indivi
     measures = list(dict.fromkeys(m for a, m in keys if a in DYNAMIC_ALGORITHMS))
     if measures:
         reference_predictions = ensemble.predict_all(reference_X)
-    block = max(1, _QUERY_CELLS // max(1, np.size(reference_X)))
+    block = _block_rows(reference_X, k, ensemble.n_members if measures else 0)
     for start in range(0, len(query_X), block):
         stop = min(start + block, len(query_X))
         if measures:

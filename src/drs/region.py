@@ -71,19 +71,16 @@ def find_neighbors(x, reference_features, k: int):
     diff = ref - x[:, None, :]
     diff **= 2
     dist = np.sqrt(diff.sum(axis=-1))
-    # Rows with exactly k distances at or below the k-th smallest hold their
-    # k nearest in row order, so a stable sort of those k gives the stable
-    # argsort's answer; rows tied at the k-th distance take the full sort.
+    # The stable argsort's first k are every distance below the k-th smallest
+    # and then the lowest-index rows at it; a stable sort of those k in row
+    # order gives its answer without sorting the whole row.
     kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
-    candidates = dist <= kth
-    exact = candidates.sum(axis=1) == k
-    nearest = np.empty((len(x), k), dtype=np.intp)
-    if exact.any():
-        rows = np.nonzero(candidates[exact])[1].reshape(-1, k)
-        order = np.argsort(np.take_along_axis(dist[exact], rows, axis=1), axis=1, kind="stable")
-        nearest[exact] = np.take_along_axis(rows, order, axis=1)
-    if not exact.all():
-        nearest[~exact] = np.argsort(dist[~exact], axis=1, kind="stable")[:, :k]
+    below = dist < kth
+    tied = dist == kth
+    room = k - below.sum(axis=1, keepdims=True)
+    rows = np.nonzero(below | (tied & (np.cumsum(tied, axis=1) <= room)))[1].reshape(-1, k)
+    order = np.argsort(np.take_along_axis(dist, rows, axis=1), axis=1, kind="stable")
+    nearest = np.take_along_axis(rows, order, axis=1)
     return nearest, np.take_along_axis(dist, nearest, axis=1)
 
 

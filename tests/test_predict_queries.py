@@ -175,7 +175,7 @@ def test_blocks_equal_one_query_reference(problem):
     keys = [(a, "") for a in ALGORITHMS if a not in DYNAMIC_ALGORITHMS]
     keys += [(a, m) for a in DYNAMIC_ALGORITHMS for m in measures]
     # Blocks of `block` rows, so Q spans one block, several, and a partial last one.
-    cells = problem["block"] * X.size
+    cells = problem["block"] * max(X.size, problem["members"] * k)
     with mock.patch.object(bench, "_QUERY_CELLS", cells):
         assert_blocks_match_reference(keys, X, y, Q, k, ensemble, individual)
 
@@ -188,8 +188,31 @@ def test_housing_blocks_equal_one_query_reference():
     Q = housing.features[455:]
     ensemble = generate_ensemble(X, y, 20, TreeParams(min_leaf_size=5), 3)
     keys = [(a, m) for a in DYNAMIC_ALGORITHMS for m in MEASURE_IDS] + [("mean", "")]
-    assert len(Q) > max(1, bench._QUERY_CELLS // X.size)  # more than one block
+    assert len(Q) > bench._block_rows(X, 10, ensemble.n_members)  # more than one block
     assert_blocks_match_reference(keys, X, y, Q, 10, ensemble, None)
+
+
+def test_blocks_keep_the_gathered_predictions_under_the_cell_cap():
+    """One feature, few reference rows, k = n and many members: the (N, B, k)
+    gather, not the distances, is the larger per-query temporary."""
+    rng = np.random.default_rng(5)
+    X, y = rng.random((20, 1)), rng.random(20)
+    Q = rng.random((300, 1))
+    ensemble = generate_ensemble(X, y, 100, TreeParams(min_parent_size=2), 0)
+    sizes = []
+    build = bench.build_region
+
+    def recording_build_region(*args, **kwargs):
+        region = build(*args, **kwargs)
+        sizes.append(region.member_predictions.size)
+        return region
+
+    with mock.patch.object(bench, "build_region", recording_build_region):
+        rows = sum(len(a[("dws", "m3")][0])
+                   for _, a in predict_queries([("dws", "m3")], X, y, Q, 20, ensemble))
+    assert rows == len(Q)
+    assert len(sizes) > 1
+    assert max(sizes) <= bench._QUERY_CELLS
 
 
 def test_m1_with_one_neighbor_fails_in_the_block_path():

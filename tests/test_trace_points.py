@@ -100,7 +100,7 @@ def test_traced_bench_counts_one_call_per_block(tmp_path):
         fold_kept, fold_offered = kept_and_offered(answers, key)
         kept += fold_kept
         offered += fold_offered
-        block = max(1, bench._QUERY_CELLS // train.features.size)
+        block = bench._block_rows(train.features, config.k, config.n_members)
         blocks += -(-test.n_instances // block)
     assert (counts["dws_kept"], counts["dws_offered"]) == (kept, offered)
     for name in ("region.build_region", "measures.score_all", "selection.ds_predict",
