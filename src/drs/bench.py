@@ -8,6 +8,12 @@ MSEs; results aggregate to mean(std) cells over replications, rendered by
 default on the 1e-4 scale. All numbers are a deterministic function of
 (config, seed).
 
+Each (dataset, replication, fold) is one unit of work. Replication r
+splits with its own seed derived from (seed, r) and fold f fits with one
+derived from that and f, whatever the order the folds run in; the fold
+results merge in fold order, so ``--jobs`` spreads folds across processes
+without changing a bit.
+
 Method columns are labeled ``single``, ``mean``, ``median`` for the
 baselines and ``ds:m3``-style pairs for the dynamic algorithms.
 """
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -210,15 +217,9 @@ def predict_queries(keys, reference_X, reference_y, query_X, k, ensemble, indivi
         yield start, answers
 
 
-def run_replication(config: RunConfig, dataset: Dataset, replication_seed: int):
-    """One replication: a fresh k-fold split, everything refitted per fold.
-
-    Returns ({(algorithm, measure): mse}, agreement_rate_or_None) where the
-    MSE is the arithmetic mean over the fold MSEs and the agreement rate is
-    the fraction of test patterns on which DS under m3 and m7 picks the
-    same member (tracked when the config includes ds with both measures).
-    Raises DatasetError when any fold MSE is not finite.
-    """
+def _replication_folds(config: RunConfig, dataset: Dataset, replication_seed: int) -> list:
+    """One replication's fold tasks: the data normalised and split once, and
+    ``k`` checked against every training fold before any fold is fitted."""
     data = dataset
     if config.normalization == "global":
         data, _ = normalize_minmax(dataset)
@@ -229,96 +230,139 @@ def run_replication(config: RunConfig, dataset: Dataset, replication_seed: int):
             f"k ({config.k}) exceeds the smallest training fold ({min_train}) "
             f"of dataset {dataset.name!r}"
         )
+    return [(config, data, fold, replication_seed) for fold in folds]
+
+
+def _run_fold(task):
+    """Fit one fold and answer its test rows.
+
+    Returns ({(algorithm, measure): fold MSE}, agreement hits, agreement
+    total), the hits counting test rows on which DS under m3 and m7 picks
+    the same member (0 and 0 when the config does not track agreement).
+    Raises DatasetError when a fold MSE is not finite.
+    """
+    config, data, fold, replication_seed = task
+    train = data.subset(fold.train_indices)
+    test = data.subset(fold.test_indices)
+    if config.normalization == "fold":
+        _, params = normalize_minmax(train)
+        train = apply_normalization(train, params)
+        test = apply_normalization(test, params)
+
+    ensemble = individual = None
+    if any(a != "single" for a in config.algorithms):
+        ens_seed = derive_seed(replication_seed, fold.fold_id)
+        ensemble = generate_ensemble(
+            train.features, train.targets, config.n_members,
+            config.tree_params, ens_seed,
+        )
+    if "single" in config.algorithms:
+        individual = fit_individual(train.features, train.targets, config.tree_params)
 
     keys = config.method_keys()
-    fold_mses = {key: [] for key in keys}
-    agree_hits = 0
-    agree_total = 0
-
-    for fold in folds:
-        train = data.subset(fold.train_indices)
-        test = data.subset(fold.test_indices)
-        if config.normalization == "fold":
-            _, params = normalize_minmax(train)
-            train = apply_normalization(train, params)
-            test = apply_normalization(test, params)
-
-        ensemble = individual = None
-        if any(a != "single" for a in config.algorithms):
-            ens_seed = derive_seed(replication_seed, fold.fold_id)
-            ensemble = generate_ensemble(
-                train.features, train.targets, config.n_members,
-                config.tree_params, ens_seed,
-            )
-        if "single" in config.algorithms:
-            individual = fit_individual(train.features, train.targets, config.tree_params)
-
-        predictions = {key: np.empty(test.n_instances) for key in keys}
-        answers = predict_queries(
-            keys, train.features, train.targets, test.features,
-            config.k, ensemble, individual,
-        )
-        for start, answer in answers:
-            for key in keys:
-                values = answer[key][0]
-                predictions[key][start : start + len(values)] = values
-            if config.tracks_agreement:
-                same = answer[("ds", "m3")][1] == answer[("ds", "m7")][1]
-                agree_hits += int(same.sum())
-                agree_total += same.size
-
+    predictions = {key: np.empty(test.n_instances) for key in keys}
+    agree_hits = agree_total = 0
+    answers = predict_queries(
+        keys, train.features, train.targets, test.features,
+        config.k, ensemble, individual,
+    )
+    for start, answer in answers:
         for key in keys:
-            fold_mse = mse(predictions[key], test.targets)
-            if not np.isfinite(fold_mse):
-                raise DatasetError(
-                    f"{dataset.name}: {method_label(*key)} has a non-finite MSE on "
-                    f"fold {fold.fold_id + 1} of {config.folds}; the values overflow "
-                    "float64, try --normalize global"
-                )
-            fold_mses[key].append(fold_mse)
+            values = answer[key][0]
+            predictions[key][start : start + len(values)] = values
+        if config.tracks_agreement:
+            same = answer[("ds", "m3")][1] == answer[("ds", "m7")][1]
+            agree_hits += int(same.sum())
+            agree_total += same.size
 
-    replication_mse = {key: float(np.mean(vals)) for key, vals in fold_mses.items()}
-    agreement = agree_hits / agree_total if agree_total else None
-    return replication_mse, agreement
+    fold_mse = {}
+    for key in keys:
+        fold_mse[key] = mse(predictions[key], test.targets)
+        if not np.isfinite(fold_mse[key]):
+            raise DatasetError(
+                f"{data.name}: {method_label(*key)} has a non-finite MSE on "
+                f"fold {fold.fold_id + 1} of {config.folds}; the values overflow "
+                "float64, try --normalize global"
+            )
+    return fold_mse, agree_hits, agree_total
 
 
-def _replication_task(args):
-    config, dataset, dataset_index, rep = args
-    rep_seed = derive_seed(config.seed, rep)
-    return dataset_index, rep, run_replication(config, dataset, rep_seed)
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _map_folds(config: RunConfig, tasks: list) -> list:
+    """``_run_fold`` over ``tasks``, results in task order: in a pool of at
+    most ``config.jobs`` processes, capped at the tasks and the usable CPUs,
+    when ``config.jobs`` > 1, else in this process."""
+    if config.jobs > 1:
+        workers = min(config.jobs, len(tasks), _usable_cpus())
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_run_fold, tasks))
+    return list(map(_run_fold, tasks))
+
+
+def _merge_folds(keys, fold_results):
+    """A replication's ({(algorithm, measure): mse}, agreement rate or None)
+    from its fold results in fold order: each MSE is the mean of the fold
+    MSEs, and the agreement rate pools the folds' hits over their totals."""
+    replication_mse = {
+        key: float(np.mean([fold_mse[key] for fold_mse, _, _ in fold_results]))
+        for key in keys
+    }
+    agree_hits = sum(hits for _, hits, _ in fold_results)
+    agree_total = sum(total for _, _, total in fold_results)
+    return replication_mse, agree_hits / agree_total if agree_total else None
+
+
+def run_replication(config: RunConfig, dataset: Dataset, replication_seed: int):
+    """One replication: a fresh k-fold split, everything refitted per fold.
+
+    Returns ({(algorithm, measure): mse}, agreement_rate_or_None) where the
+    MSE is the arithmetic mean over the fold MSEs and the agreement rate is
+    the fraction of test patterns on which DS under m3 and m7 picks the
+    same member (tracked when the config includes ds with both measures).
+    The folds run as ``run_benchmark`` runs them, in a pool when
+    ``config.jobs`` > 1. Raises DatasetError when any fold MSE is not
+    finite.
+    """
+    tasks = _replication_folds(config, dataset, replication_seed)
+    return _merge_folds(config.method_keys(), _map_folds(config, tasks))
 
 
 def run_benchmark(config: RunConfig, datasets: list[Dataset]) -> RunResult:
     """The full protocol: every dataset x replication, merged deterministically.
 
-    Replication r uses seed ``derive_seed(config.seed, r)`` regardless of
-    execution order, so jobs > 1 changes wall time only, never a number.
+    Every (dataset, replication, fold) is one task. Replication r splits
+    with seed ``derive_seed(config.seed, r)`` and its fold f fits with
+    ``derive_seed(derive_seed(config.seed, r), f)``, whatever the order the
+    folds run in, and the fold results merge in fold order. So jobs > 1
+    changes wall time only, never a number.
     """
     if not datasets:
         raise ValueError("at least one dataset is required")
     names = [d.name for d in datasets]
     tasks = [
-        (config, dataset, i, rep)
-        for i, dataset in enumerate(datasets)
+        task
+        for dataset in datasets
         for rep in range(config.replications)
+        for task in _replication_folds(config, dataset, derive_seed(config.seed, rep))
     ]
-    if config.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(config.jobs, len(tasks))) as pool:
-            outcomes = list(pool.map(_replication_task, tasks))
-    else:
-        outcomes = [_replication_task(t) for t in tasks]
+    fold_results = _map_folds(config, tasks)
 
-    mse_lists = {
-        (name, algo, m): [None] * config.replications
-        for name in names
-        for algo, m in config.method_keys()
-    }
-    agreement = {name: [None] * config.replications for name in names}
-    for dataset_index, rep, (rep_mse, agree) in outcomes:
-        name = names[dataset_index]
-        for (algo, m), value in rep_mse.items():
-            mse_lists[(name, algo, m)][rep] = value
-        agreement[name][rep] = agree
+    keys = config.method_keys()
+    mse_lists = {(name, algo, m): [] for name in names for algo, m in keys}
+    agreement = {name: [] for name in names}
+    for i, name in enumerate(names):
+        for rep in range(config.replications):
+            first = (i * config.replications + rep) * config.folds
+            rep_mse, agree = _merge_folds(keys, fold_results[first : first + config.folds])
+            for (algo, m), value in rep_mse.items():
+                mse_lists[(name, algo, m)].append(value)
+            agreement[name].append(agree)
     if not config.tracks_agreement:
         agreement = {}
     return RunResult(config, tuple(names), mse_lists, agreement)

@@ -284,6 +284,13 @@ def cmd_predict(ns) -> int:
     answers = predict_queries(
         [key], fitted.features, fitted.targets, query_x, common["k"], ensemble, individual,
     )
+    if algo == "dws":
+        # The DWS note shows the first 10 survivors; one template per count shown.
+        dws_notes = [
+            f"  ({measure}: kept %d/{len(ensemble.members)} members: "
+            + ", ".join(["%d*%.4f"] * shown) + "%s)"
+            for shown in range(11)
+        ]
     for start, answer in answers:
         values, provenance = answer[key]
         if params:
@@ -292,14 +299,17 @@ def cmd_predict(ns) -> int:
         if algo == "ds":
             notes = [f"  ({measure}: selected member {i})" for i in provenance.tolist()]
         elif algo == "dws":
-            rows = zip(provenance.selected.tolist(), provenance.alpha.tolist())
-            for j, (selected, alpha) in enumerate(rows):
-                kept = [i for i, s in enumerate(selected) if s]
-                shown = ", ".join(f"{i}*{alpha[i]:.4f}" for i in kept[:10])
-                if len(kept) > 10:
-                    shown += f", +{len(kept) - 10} more"
-                notes[j] = (f"  ({measure}: kept {len(kept)}/{len(ensemble.members)} "
-                            f"members: {shown})")
+            # The first 10 survivors of each row, then (index, weight) pairs of
+            # Python ints and floats, so % formats them as the note shows them.
+            first = np.argsort(~provenance.selected, axis=1, kind="stable")[:, :10]
+            pairs = np.empty((len(first), 2 * first.shape[1]), dtype=object)
+            pairs[:, 0::2] = first
+            pairs[:, 1::2] = np.take_along_axis(provenance.alpha, first, axis=1)
+            kept = provenance.selected.sum(axis=1).tolist()
+            for j, (n, row) in enumerate(zip(kept, pairs.tolist())):
+                shown = min(n, 10)
+                more = f", +{n - 10} more" if n > 10 else ""
+                notes[j] = dws_notes[shown] % (n, *row[: 2 * shown], more)
         sys.stdout.write("".join(
             f"query {j}: {v:.6f}{note}\n"
             for j, (v, note) in enumerate(zip(values.tolist(), notes), start=start)

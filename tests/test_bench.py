@@ -1,6 +1,7 @@
 """Benchmark harness: per-replication protocol, aggregation, and reports."""
 
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -188,12 +189,15 @@ class TestRunBenchmark:
             assert len(values) == config.replications
         assert len(result.agreement["synth0"]) == config.replications
 
-    def test_results_independent_of_jobs(self):
-        config = small_config()
+    @pytest.mark.parametrize("replications", [1, 2], ids=["reps1", "reps2"])
+    def test_results_independent_of_jobs(self, replications):
+        config = small_config(replications=replications)
         serial = run_benchmark(config, [small_dataset()])
-        parallel = run_benchmark(small_config(jobs=4), [small_dataset()])
-        assert serial.mse == parallel.mse
-        assert serial.agreement == parallel.agreement
+        parallel = run_benchmark(
+            small_config(replications=replications, jobs=4), [small_dataset()]
+        )
+        assert parallel.mse == serial.mse
+        assert parallel.agreement == serial.agreement
 
     def test_agreement_absent_when_not_tracked(self):
         config = small_config(algorithms=("mean", "dw"))
@@ -203,6 +207,79 @@ class TestRunBenchmark:
     def test_requires_datasets(self):
         with pytest.raises(ValueError, match="dataset"):
             run_benchmark(small_config(), [])
+
+
+@pytest.fixture
+def fake_pools(monkeypatch):
+    """Replace the process pool with one that records its size and tasks and
+    runs them in this process; returns the pools built."""
+    built = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.tasks = []
+            built.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            self.tasks = list(tasks)
+            return map(fn, self.tasks)
+
+    monkeypatch.setattr("drs.bench.ProcessPoolExecutor", FakePool)
+    return built
+
+
+def usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestFoldPool:
+    def test_one_replication_runs_its_folds_in_a_pool(self, fake_pools, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        config = small_config(replications=1, jobs=2)
+        pooled = run_benchmark(config, [small_dataset()])
+        [pool] = fake_pools
+        assert pool.max_workers == 2
+        assert len(pool.tasks) == config.folds
+        serial = run_benchmark(small_config(replications=1), [small_dataset()])
+        assert pooled.mse == serial.mse
+        assert pooled.agreement == serial.agreement
+
+    def test_one_job_builds_no_pool(self, fake_pools):
+        run_benchmark(small_config(jobs=1), [small_dataset()])
+        assert fake_pools == []
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        (64, 2, 2),    # capped at the usable CPUs
+        (64, 128, 30),  # capped at the 3 x 10 fold tasks
+        (3, 128, 3),   # capped at --jobs
+    ])
+    def test_workers_capped_at_jobs_tasks_and_cpus(self, jobs, cpus, workers,
+                                                   fake_pools, monkeypatch):
+        usable_cpus(monkeypatch, cpus)
+        config = small_config(
+            jobs=jobs, replications=3, folds=10,
+            algorithms=("mean",), measures=(), n_members=2,
+        )
+        run_benchmark(config, [small_dataset()])
+        [pool] = fake_pools
+        assert pool.max_workers == workers
+        assert len(pool.tasks) == 30
+
+    @pytest.mark.parametrize("cpu_count, workers", [(3, 3), (None, 1)])
+    def test_cpu_count_when_affinity_is_unavailable(self, cpu_count, workers,
+                                                    fake_pools, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        config = small_config(jobs=8, algorithms=("mean",), measures=(), n_members=2)
+        run_benchmark(config, [small_dataset()])
+        assert fake_pools[0].max_workers == workers
 
 
 class TestReports:

@@ -104,14 +104,16 @@ class TestExitCodes:
             main(["reticulate"])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_mse_fails_the_run(self, tmp_path, capsys):
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["jobs1", "jobs2"])
+    def test_non_finite_mse_fails_the_run(self, jobs, tmp_path, capsys):
+        # With --jobs 2 the DatasetError is raised in a worker process.
         rng = np.random.default_rng(11)
         X, y = synthetic_dataset(rng, 80, 3)
         data = write_csv(tmp_path / "huge.csv", X, (2.0 + y) * 1e160)
         out = tmp_path / "out"
         code = main(
-            ["bench", "--data", str(data), "--normalize", "none", "--out", str(out)]
-            + BENCH_FAST
+            ["bench", "--data", str(data), "--normalize", "none", "--out", str(out),
+             "--jobs", str(jobs)] + BENCH_FAST
         )
         assert code == 1
         err = capsys.readouterr().err
@@ -120,14 +122,19 @@ class TestExitCodes:
         assert not (out / "results.csv").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("command", ["bench", "predict"])
-    def test_overflowing_targets_fail_before_fitting(self, command, tmp_path, capsys):
+    @pytest.mark.parametrize("command, jobs", [
+        pytest.param("bench", 1, id="bench"),
+        pytest.param("bench", 2, id="bench-jobs2"),
+        pytest.param("predict", None, id="predict"),
+    ])
+    def test_overflowing_targets_fail_before_fitting(self, command, jobs, tmp_path, capsys):
         rng = np.random.default_rng(11)
         X, y = synthetic_dataset(rng, 80, 3)
         data = write_csv(tmp_path / "huge.csv", X, (2.0 + y) * 1e160)
         out = tmp_path / "out"
         if command == "bench":
-            argv = ["bench", "--data", str(data), "--out", str(out)] + BENCH_FAST
+            argv = ["bench", "--data", str(data), "--out", str(out),
+                    "--jobs", str(jobs)] + BENCH_FAST
         else:
             query = write_csv(tmp_path / "query.csv", X[:4, :2], X[:4, 2])
             argv = ["predict", "--train", str(data), "--query", str(query),
@@ -143,6 +150,18 @@ class TestExitCodes:
         code = main(
             ["bench", "--data", str(train_csv), "--k", "30",
              "--folds", "3", "--reps", "1", "--members", "4"]
+        )
+        assert code == 2
+        assert "smallest training fold" in capsys.readouterr().err
+
+    def test_k_exceeding_training_fold_starts_no_worker(self, train_csv, capsys, monkeypatch):
+        def no_pool(max_workers):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr("drs.bench.ProcessPoolExecutor", no_pool)
+        code = main(
+            ["bench", "--data", str(train_csv), "--k", "30",
+             "--folds", "3", "--reps", "1", "--members", "4", "--jobs", "2"]
         )
         assert code == 2
         assert "smallest training fold" in capsys.readouterr().err

@@ -58,8 +58,8 @@ def test_housing_results_match_golden_bytes(tmp_path, capsys):
 
 
 def first_fold_trees_sha256() -> str:
-    """Refit fold 0 of replication 0 the way ``run_replication`` does for
-    ``GOLDEN_ARGS`` and hash the tree dumps."""
+    """Refit fold 0 of replication 0 the way ``drs bench`` fits each fold
+    task for ``GOLDEN_ARGS`` and hash the tree dumps."""
     config = RunConfig(n_members=25, folds=5)
     data, _ = normalize_minmax(load_csv(DATA_DIR / "housing.csv"))
     rep_seed = derive_seed(config.seed, 0)
