@@ -14,6 +14,9 @@ bit, not only the rounded MSEs.
 ``golden/housing.predict.sha256`` pins ``drs predict``: one line per
 algorithm with the sha256 of its stdout when it trains on housing and
 queries housing's own feature columns (``PREDICT_ARGS``).
+
+``golden/housing.inspect.sha256`` pins ``drs inspect``: one line per run in
+``INSPECT_RUNS`` with the sha256 of its stdout on housing.
 """
 
 import contextlib
@@ -38,6 +41,13 @@ GOLDEN_ARGS = [
 ]
 PREDICT_ARGS = ["--members", "25", "--measure", "m7"]
 PREDICT_ALGORITHMS = ("single", "mean", "median", "ds", "dw", "dws")
+GOLDEN_INSPECT = GOLDEN_DIR / "housing.inspect.sha256"
+# Row 3 with k = 1 takes the m1 column's no-score path.
+INSPECT_RUNS = (
+    ("--row", "0", "--members", "25"),
+    ("--row", "42", "--members", "25"),
+    ("--row", "3", "--members", "5", "--k", "1"),
+)
 
 
 def test_housing_results_match_golden_bytes(tmp_path, capsys):
@@ -103,3 +113,20 @@ def predict_stdout_sha256(workdir: Path) -> list[str]:
 
 def test_housing_predictions_match_golden_hashes(tmp_path):
     assert predict_stdout_sha256(tmp_path) == GOLDEN_PREDICT.read_text().splitlines()
+
+
+def inspect_stdout_sha256() -> list[str]:
+    """``<sha256>  <flags>`` of ``drs inspect``'s stdout on housing for each
+    run in ``INSPECT_RUNS``."""
+    lines = []
+    for flags in INSPECT_RUNS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["inspect", "--data", str(DATA_DIR / "housing.csv"), *flags])
+        assert code == 0, flags
+        lines.append(f"{hashlib.sha256(out.getvalue().encode()).hexdigest()}  {' '.join(flags)}")
+    return lines
+
+
+def test_housing_inspect_matches_golden_hashes():
+    assert inspect_stdout_sha256() == GOLDEN_INSPECT.read_text().splitlines()
