@@ -3,6 +3,10 @@
 The numbers are small enough to check by hand: two neighbors
 at distances 1 and 3, observed targets 0.5 and 0.8, and two ensemble
 members with known predictions. Run it and follow the arithmetic.
+
+The library answers blocks of queries, one row per query; this walk-through
+has one query, so it passes blocks of one row (``x[None]``) and reads
+row 0 of each answer.
 """
 
 import numpy as np
@@ -11,6 +15,7 @@ from drs import (
     MEASURE_IDS,
     RegionOfCompetence,
     ds_predict,
+    dw_predict,
     dw_weights,
     dws_predict,
     inverse_distance_weights,
@@ -20,7 +25,7 @@ from drs import (
 print("Step 1: neighbor weights from distances")
 print("=" * 60)
 distances = np.array([1.0, 3.0])
-weights = inverse_distance_weights(distances)
+weights = inverse_distance_weights(distances[None])[0]
 print(f"distances d(query, t_k):      {distances.tolist()}")
 print(f"inverse distances:            {[float(1 / d) for d in distances]}")
 print(f"normalized weights d_k:       {weights.tolist()}")
@@ -35,11 +40,11 @@ observed = np.array([0.5, 0.8])
 member_predictions = np.array([[0.4, 1.0], [0.55, 0.75]])
 query_predictions = np.array([0.6, 0.7])
 region = RegionOfCompetence(
-    neighbor_indices=np.array([0, 1]),
-    distances=distances,
-    d_weights=weights,
-    observed=observed,
-    member_predictions=member_predictions,
+    neighbor_indices=np.array([[0, 1]]),
+    distances=distances[None],
+    d_weights=weights[None],
+    observed=observed[None],
+    member_predictions=member_predictions[None],
 )
 print(f"observed targets f(t_k):      {observed.tolist()}")
 print(f"member 0 on the neighbors:    {member_predictions[0].tolist()}")
@@ -72,23 +77,24 @@ by_hand = {
     "m8": float(errs[0] ** 2),
 }
 for mid in MEASURE_IDS:
-    scored = score_all(mid, region, query_predictions)[0]
+    scored = score_all(mid, region, query_predictions[None])[0, 0]
     print(f"{mid}: {scored:.12f}  by hand {by_hand[mid]:.12f}  <- {stories[mid]}")
     assert abs(scored - by_hand[mid]) < 1e-12
 
 print()
 print("Step 4: turning m3 scores into a prediction")
 print("=" * 60)
-scores = score_all("m3", region, query_predictions)
-print(f"m3 per member:                {scores.tolist()}")
-value, winner = ds_predict(scores, query_predictions)
-print(f"ds  selects member {winner} and answers {value}")
+scores = score_all("m3", region, query_predictions[None])
+print(f"m3 per member:                {scores[0].tolist()}")
+value, winner = ds_predict(scores, query_predictions[None])
+print(f"ds  selects member {int(winner[0])} and answers {float(value[0])}")
 w = dw_weights(scores)
-print(f"dw  weights members {np.round(w.alpha, 4).tolist()} "
-      f"and answers {float(w.alpha @ query_predictions):.4f}")
-value, kept = dws_predict(scores, query_predictions)
-names = np.flatnonzero(kept.selected).tolist()
-print(f"dws keeps member(s) {names} and answers {value:.4f}")
+value = dw_predict(w, query_predictions[None])
+print(f"dw  weights members {np.round(w.alpha[0], 4).tolist()} "
+      f"and answers {value[0]:.4f}")
+value, kept = dws_predict(scores, query_predictions[None])
+names = np.flatnonzero(kept.selected[0]).tolist()
+print(f"dws keeps member(s) {names} and answers {value[0]:.4f}")
 print()
 print("member 1 hugs the targets more closely on this region, so every")
 print("error-based measure prefers it; m1 ignores targets entirely and")

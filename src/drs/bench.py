@@ -176,9 +176,10 @@ def predict_queries(keys, reference_X, reference_y, query_X, k, ensemble, indivi
     (B,) selected members for ds and the ``MemberWeights`` with (B, N) rows
     for dw and dws. The dynamic algorithms score the members over the k
     nearest reference rows, once per measure and block; every row comes out
-    bit for bit as it would alone. ``ensemble`` may be None when ``keys``
-    holds only ``("single", "")``, and ``individual`` is needed only for
-    that key. A generator, so only one block's provenance is kept.
+    bit for bit as it would in a block of its own. ``ensemble`` may be None
+    when ``keys`` holds only ``("single", "")``, and ``individual`` is
+    needed only for that key. A generator, so only one block's provenance
+    is kept.
     """
     if ensemble is not None:
         member_qpreds = ensemble.predict_all(query_X)
@@ -197,10 +198,10 @@ def predict_queries(keys, reference_X, reference_y, query_X, k, ensemble, indivi
         stop = min(start + block, len(query_X))
         if measures:
             region = build_region(
-                query_X[start:stop], reference_X, reference_y,
-                ensemble, k, reference_predictions=reference_predictions,
+                query_X[start:stop], reference_X, reference_y, reference_predictions, k
             )
-            # Strided like a one-query column, so the weighted sums round alike.
+            # A transposed view gives each row the same strides at any block
+            # size, so the weighted sums round alike.
             qp = member_qpreds[:, start:stop].T
             scores = {m: score_all(m, region, qp) for m in measures}
         answers = {}
@@ -217,18 +218,24 @@ def predict_queries(keys, reference_X, reference_y, query_X, k, ensemble, indivi
         yield start, answers
 
 
-def _replication_folds(config: RunConfig, dataset: Dataset, replication_seed: int) -> list:
-    """One replication's fold tasks: the data normalised and split once, and
-    ``k`` checked against every training fold before any fold is fitted."""
-    data = dataset
+def _globally_normalized(config: RunConfig, dataset: Dataset) -> Dataset:
+    """The dataset every replication splits: min-max normalised as a whole
+    under ``normalization="global"``, else as given."""
     if config.normalization == "global":
-        data, _ = normalize_minmax(dataset)
+        return normalize_minmax(dataset)[0]
+    return dataset
+
+
+def _replication_folds(config: RunConfig, data: Dataset, replication_seed: int) -> list:
+    """One replication's fold tasks over ``data`` (already normalised by
+    :func:`_globally_normalized`): the split made once, and ``k`` checked
+    against every training fold before any fold is fitted."""
     folds = kfold_split(data.n_instances, config.folds, replication_seed)
     min_train = min(len(f.train_indices) for f in folds)
     if config.k > min_train:
         raise ValueError(
             f"k ({config.k}) exceeds the smallest training fold ({min_train}) "
-            f"of dataset {dataset.name!r}"
+            f"of dataset {data.name!r}"
         )
     return [(config, data, fold, replication_seed) for fold in folds]
 
@@ -245,8 +252,7 @@ def _run_fold(task):
     train = data.subset(fold.train_indices)
     test = data.subset(fold.test_indices)
     if config.normalization == "fold":
-        _, params = normalize_minmax(train)
-        train = apply_normalization(train, params)
+        train, params = normalize_minmax(train)
         test = apply_normalization(test, params)
 
     ensemble = individual = None
@@ -329,7 +335,7 @@ def run_replication(config: RunConfig, dataset: Dataset, replication_seed: int):
     ``config.jobs`` > 1. Raises DatasetError when any fold MSE is not
     finite.
     """
-    tasks = _replication_folds(config, dataset, replication_seed)
+    tasks = _replication_folds(config, _globally_normalized(config, dataset), replication_seed)
     return _merge_folds(config.method_keys(), _map_folds(config, tasks))
 
 
@@ -345,12 +351,11 @@ def run_benchmark(config: RunConfig, datasets: list[Dataset]) -> RunResult:
     if not datasets:
         raise ValueError("at least one dataset is required")
     names = [d.name for d in datasets]
-    tasks = [
-        task
-        for dataset in datasets
-        for rep in range(config.replications)
-        for task in _replication_folds(config, dataset, derive_seed(config.seed, rep))
-    ]
+    tasks = []
+    for dataset in datasets:
+        data = _globally_normalized(config, dataset)
+        for rep in range(config.replications):
+            tasks += _replication_folds(config, data, derive_seed(config.seed, rep))
     fold_results = _map_folds(config, tasks)
 
     keys = config.method_keys()

@@ -250,8 +250,7 @@ def cmd_bench(ns) -> int:
 
 
 def cmd_predict(ns) -> int:
-    file_values = {}
-    common = _common_ints(ns, file_values)
+    common = _common_ints(ns, {})
     algo = ns.algo
     measure = ns.measure
     train = load_csv(ns.train, _int_or_name(ns.target_col) if ns.target_col is not None else -1)
@@ -271,7 +270,7 @@ def cmd_predict(ns) -> int:
     if (ns.normalize or "global") == "global":
         fitted, params = normalize_minmax(train)
         query_x = apply_minmax(query, params)
-    tree_params = _tree_params(ns, file_values)
+    tree_params = _tree_params(ns, {})
 
     ensemble = individual = None
     if algo == "single":
@@ -318,8 +317,7 @@ def cmd_predict(ns) -> int:
 
 
 def cmd_inspect(ns) -> int:
-    file_values = {}
-    common = _common_ints(ns, file_values)
+    common = _common_ints(ns, {})
     data = load_csv(ns.data, _int_or_name(ns.target_col) if ns.target_col is not None else -1)
     row = ns.row
     _require(
@@ -332,18 +330,22 @@ def cmd_inspect(ns) -> int:
         common["k"] <= reference.n_instances,
         f"--k ({common['k']}) exceeds the reference size ({reference.n_instances})",
     )
-    query_x = data.features[row]
+    query_x = data.features[row][None]
     params = None
     fitted = reference
     if (ns.normalize or "global") == "global":
         fitted, params = normalize_minmax(reference)
-        query_x = apply_minmax(query_x[None], params)[0]
+        query_x = apply_minmax(query_x, params)
     ensemble = generate_ensemble(
         fitted.features, fitted.targets, common["members"],
-        _tree_params(ns, file_values), common["seed"],
+        _tree_params(ns, {}), common["seed"],
     )
-    region = build_region(query_x, fitted.features, fitted.targets, ensemble, common["k"])
-    qp = ensemble.predict_all(query_x[None])[:, 0]
+    # The query is a block of one row; its region and scores are row 0.
+    region = build_region(
+        query_x, fitted.features, fitted.targets,
+        ensemble.predict_all(fitted.features), common["k"],
+    )
+    qp = ensemble.predict_all(query_x)[:, 0]
 
     print(f"query: row {row} of {ns.data} (target {data.targets[row]:.6f}), "
           f"reference: the other {reference.n_instances} rows")
@@ -354,9 +356,9 @@ def cmd_inspect(ns) -> int:
     print("  rank  row  distance      weight    observed")
     for r in range(region.k):
         print(
-            f"  {r + 1:4d}  {keep[region.neighbor_indices[r]]:4d}"
-            f"  {region.distances[r]:<12.6g}  {region.d_weights[r]:<8.6f}"
-            f"  {region.observed[r]:.6f}"
+            f"  {r + 1:4d}  {keep[region.neighbor_indices[0, r]]:4d}"
+            f"  {region.distances[0, r]:<12.6g}  {region.d_weights[0, r]:<8.6f}"
+            f"  {region.observed[0, r]:.6f}"
         )
 
     columns = {}
@@ -364,7 +366,7 @@ def cmd_inspect(ns) -> int:
         if m == "m1" and region.k < 2:
             columns[m] = np.full(len(ensemble.members), np.nan)
         else:
-            columns[m] = score_all(m, region, qp)
+            columns[m] = score_all(m, region, qp[None])[0]
     print(f"\ncompetence scores per member (lower is better):")
     print("  member  " + "  ".join(f"{m:>10}" for m in MEASURE_IDS))
     for i in range(len(ensemble.members)):

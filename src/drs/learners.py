@@ -95,14 +95,12 @@ class RegressionTree:
     def n_leaves(self) -> int:
         return int(np.sum(self.feature < 0))
 
-    def predict(self, x):
-        """Predict one sample (1-D input, returns float) or a batch (2-D)."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = x[None, :] if single else x
+    def predict(self, X):
+        """Predict a batch of samples (n, d); returns the (n,) predictions."""
+        X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(
-                f"expected {self.n_features} features, got shape {x.shape}"
+                f"expected (n, {self.n_features}) features, got shape {X.shape}"
             )
         idx = np.zeros(X.shape[0], dtype=np.int64)
         active = np.flatnonzero(self.feature[idx] >= 0)
@@ -111,8 +109,7 @@ class RegressionTree:
             go_left = X[active, self.feature[cur]] <= self.threshold[cur]
             idx[active] = np.where(go_left, self.left[cur], self.right[cur])
             active = active[self.feature[idx[active]] >= 0]
-        out = self.value[idx]
-        return float(out[0]) if single else out
+        return self.value[idx]
 
     def to_text(self) -> str:
         """Line-oriented audit dump: one node per line.
@@ -392,8 +389,8 @@ class Ensemble:
         return len(self.members)
 
     def predict_all(self, X) -> np.ndarray:
-        """(n_members, n_samples) matrix of every member's predictions on X."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        """(n_members, n_samples) matrix of every member's predictions on X (n_samples, d)."""
+        X = np.asarray(X, dtype=float)
         return np.vstack([m.predict(X) for m in self.members])
 
 

@@ -19,8 +19,8 @@ normalized inverse-distance weight of neighbor k, member n scores:
     m7  sum_k sqrt((f(t_k) - fh_n(t_k))^2 * d_k)
     m8  (f(t_1) - fh_n(t_1))^2 on the nearest neighbor only, unweighted
 
-A region of a block of B queries scores to a (B, N) matrix, each row bit
-for bit the score vector of that query's region alone.
+The region of a block of B queries scores to a (B, N) matrix, each row bit
+for bit the score vector of that query's region in a block of its own.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ def score_all(
 ) -> np.ndarray:
     """Evaluate one measure for every ensemble member of a region at once.
 
-    Returns the (N,) score vector, one score per member, or (B, N) for the
-    region of a block of B queries. ``query_predictions`` (one prediction
-    per member at the query pattern, (N,) or (B, N)) is required by m6 and
-    ignored by the others. Measure ids are case-insensitive.
+    Returns the (B, N) scores of the region of a block of B queries, one
+    per query and member. ``query_predictions`` (each member's prediction
+    at each query, (B, N)) is required by m6 and ignored by the others.
+    Measure ids are case-insensitive.
     """
     mid = measure_id.lower()
     preds = region.member_predictions

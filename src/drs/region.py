@@ -6,9 +6,9 @@ and exactness keeps the competence scores auditable. Each neighbor also
 carries a normalized inverse-distance weight: nearer neighbors count more,
 and the weights sum to one.
 
-Every function here takes one query or a block of B queries: a leading
-batch axis on the input gives a leading batch axis on every output, and
-each row of a block comes out bit for bit as it would alone.
+Every function here takes a block of B queries, (B, d), and answers with
+one row per query; each row comes out bit for bit as it would in a block
+of its own. A single query is the block ``x[None]``.
 """
 
 from __future__ import annotations
@@ -22,17 +22,14 @@ ZERO_DISTANCE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RegionOfCompetence:
-    """The K nearest training patterns to a query, with per-member predictions.
+    """The K nearest training patterns to each of B queries, with per-member predictions.
 
-    neighbor_indices   : K training-set row indices, ascending distance
-    distances          : K Euclidean distances, sorted ascending
-    d_weights          : K normalized inverse-distance weights (sum to 1)
-    observed           : K observed target values of the neighbors
-    member_predictions : (N, K) matrix; row n holds member n's predictions
-                         on the K neighbors
-
-    A region of a block of B queries has a leading batch axis on every
-    field: (B, K) for the first four and (B, N, K) for member_predictions.
+    neighbor_indices   : (B, K) training-set row indices, ascending distance
+    distances          : (B, K) Euclidean distances, sorted ascending
+    d_weights          : (B, K) normalized inverse-distance weights (rows sum to 1)
+    observed           : (B, K) observed target values of the neighbors
+    member_predictions : (B, N, K); [b, n] holds member n's predictions on
+                         query b's K neighbors
     """
 
     neighbor_indices: np.ndarray
@@ -51,11 +48,11 @@ class RegionOfCompetence:
 
 
 def find_neighbors(x, reference_features, k: int):
-    """Indices and distances of the k reference rows nearest to x.
+    """Indices and distances of the k reference rows nearest to each row of x.
 
-    ``x`` is one query (d,) or a block of queries (B, d); the results are
-    (k,) or (B, k). Distances are Euclidean, returned ascending; ties break
-    toward the lower row index, as a stable argsort of each row's distances.
+    ``x`` is a block of queries (B, d); the results are (B, k). Distances
+    are Euclidean, returned ascending; ties break toward the lower row
+    index, as a stable argsort of each row's distances.
     """
     ref = np.asarray(reference_features, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -63,11 +60,8 @@ def find_neighbors(x, reference_features, k: int):
         raise ValueError("k must be >= 1")
     if k > ref.shape[0]:
         raise ValueError(f"k ({k}) exceeds reference size ({ref.shape[0]})")
-    if x.shape[-1] != ref.shape[1]:
-        raise ValueError(f"query has {x.shape[-1]} features, reference has {ref.shape[1]}")
-    if x.ndim == 1:
-        nearest, dist = find_neighbors(x[None], ref, k)
-        return nearest[0], dist[0]
+    if x.ndim != 2 or x.shape[1] != ref.shape[1]:
+        raise ValueError(f"queries must be a (B, {ref.shape[1]}) block of features, got {x.shape}")
     diff = ref - x[:, None, :]
     diff **= 2
     dist = np.sqrt(diff.sum(axis=-1))
@@ -91,12 +85,12 @@ def inverse_distance_weights(distances) -> np.ndarray:
     used there: if any distance is below 1e-12, the z zero-distance entries
     each get weight 1/z and all others get 0. The output always sums to 1
     and is invariant under positive rescaling of the distances while every
-    distance stays at or above 1e-12. ``distances`` is one region's (k,)
-    vector or a (B, k) block, weighted row by row.
+    distance stays at or above 1e-12. ``distances`` is a (B, k) block,
+    weighted row by row.
     """
     dist = np.asarray(distances, dtype=float)
-    if dist.ndim not in (1, 2) or dist.shape[-1] == 0:
-        raise ValueError("distances must be a non-empty 1-D array or a (B, k) block")
+    if dist.ndim != 2 or dist.shape[-1] == 0:
+        raise ValueError("distances must be a (B, k) block with k >= 1")
     if np.any(dist < 0):
         raise ValueError("distances must be nonnegative")
     zero = dist < ZERO_DISTANCE_TOL
@@ -109,32 +103,21 @@ def inverse_distance_weights(distances) -> np.ndarray:
 
 
 def build_region(
-    x,
-    reference_features,
-    reference_targets,
-    ensemble,
-    k: int,
-    reference_predictions: np.ndarray | None = None,
+    x, reference_features, reference_targets, reference_predictions, k: int
 ) -> RegionOfCompetence:
-    """Assemble the region of competence for one query (d,) or a block (B, d).
+    """Assemble the region of competence for a block of queries (B, d).
 
     Composes the neighbor search, the inverse-distance weights, the
     neighbors' observed targets, and every ensemble member's prediction on
-    every neighbor. When ``reference_predictions`` (the (N, n_reference)
-    matrix of member predictions on the whole reference set) is supplied,
-    member predictions are taken from its columns instead of re-running the
-    members; the result is identical because members are deterministic.
+    every neighbor, gathered from ``reference_predictions``: the
+    (N, n_reference) matrix of member predictions on the whole reference
+    set, ``ensemble.predict_all(reference_features)``.
     """
-    ref_X = np.asarray(reference_features, dtype=float)
     ref_y = np.asarray(reference_targets, dtype=float)
-    indices, distances = find_neighbors(x, ref_X, k)
+    indices, distances = find_neighbors(x, reference_features, k)
     weights = inverse_distance_weights(distances)
-    if reference_predictions is not None:
-        member_preds = np.asarray(reference_predictions, dtype=float)[:, indices]
-    else:
-        member_preds = ensemble.predict_all(ref_X[indices.ravel()])
-        member_preds = member_preds.reshape(len(member_preds), *indices.shape)
-    # A view, not a copy: each query's (N, K) slice keeps the memory order of
-    # a one-query gather, and with it the rounding of the measures' sums.
+    member_preds = np.asarray(reference_predictions, dtype=float)[:, indices]
+    # A view, not a copy: each query's (N, K) slice keeps one memory order
+    # whatever the block size, and with it the rounding of the measures' sums.
     member_preds = np.moveaxis(member_preds, 0, -2)
     return RegionOfCompetence(indices, distances, weights, ref_y[indices], member_preds)

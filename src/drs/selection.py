@@ -7,9 +7,9 @@ the observed score interval, then applies the DW weighting to the
 survivors. The static mean and median baselines ignore competence and
 need no combiner of their own (see ``bench.predict_queries``).
 
-Every combiner takes one query's (N,) scores and member predictions or a
-block's (B, N) rows of them, and answers each row of a block bit for bit
-as it would that query alone.
+Every combiner takes a block's (B, N) scores and member predictions, one
+row per query, and answers each row bit for bit as it would in a block of
+its own.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ ZERO_SCORE_TOL = 1e-12
 class MemberWeights:
     """Combination weights: alpha sums to 1 over selected members, 0 elsewhere.
 
-    Both arrays are (N,) for one query or (B, N) for a block, one row per query.
+    Both arrays are (B, N), one row per query.
     """
 
     alpha: np.ndarray
@@ -39,14 +39,12 @@ class MemberWeights:
 def ds_predict(scores, query_predictions):
     """Select the member with the lowest score; return its query prediction.
 
-    Ties go to the lowest member index. One query gives (prediction,
-    member); a block gives a (B,) array of each.
+    Ties go to the lowest member index. Returns (B,) arrays of the
+    predictions and of the selected members.
     """
     s = np.asarray(scores, dtype=float)
     preds = np.asarray(query_predictions, dtype=float)
-    winner = np.argmin(s, axis=-1)
-    if s.ndim == 1:
-        return float(preds[winner]), int(winner)
+    winner = np.argmin(s, axis=1)
     return np.take_along_axis(preds, winner[:, None], axis=1)[:, 0], winner
 
 
@@ -73,21 +71,18 @@ def dw_weights(scores) -> MemberWeights:
     treated as exactly competent: the weight splits uniformly over them and
     everyone else gets 0. All members stay selected. Weights are invariant
     to positive rescaling of the score vector while every score stays at or
-    above 1e-12. A (B, N) block is weighted row by row.
+    above 1e-12. The (B, N) block is weighted row by row.
     """
-    # C order, so each row's sum runs over contiguous memory as for one query.
+    # C order, so each row's sum runs over contiguous memory at any block size.
     s = np.ascontiguousarray(scores, dtype=float)
     inv = _inverse_sqrt(s, True)
     return MemberWeights(inv / inv.sum(axis=-1, keepdims=True), np.ones(s.shape, dtype=bool))
 
 
 def dw_predict(weights: MemberWeights, query_predictions):
-    """Weighted mean of the member predictions at the query, (B,) for a block."""
+    """Weighted mean of the member predictions at each query, (B,)."""
     preds = np.asarray(query_predictions, dtype=float)
-    alpha = weights.alpha
-    if alpha.ndim == 1:
-        return float(alpha @ preds)
-    return (alpha[:, None, :] @ preds[:, :, None])[:, 0, 0]
+    return (weights.alpha[:, None, :] @ preds[:, :, None])[:, 0, 0]
 
 
 def dws_predict(scores, query_predictions):
@@ -98,14 +93,9 @@ def dws_predict(scores, query_predictions):
     discarded and the DW weights are recomputed over the rest, so the
     best-scoring member always survives and the survivor set is never
     empty. Returns (prediction, MemberWeights), with (B,) predictions and
-    (B, N) weights for a block.
+    (B, N) weights.
     """
     s = np.asarray(scores, dtype=float)
-    preds = np.asarray(query_predictions, dtype=float)
-    if s.ndim == 1:
-        _, block = dws_predict(s[None], preds[None])
-        weights = MemberWeights(block.alpha[0], block.selected[0])
-        return dw_predict(weights, preds), weights
     s_min = s.min(axis=1, keepdims=True)
     s_max = s.max(axis=1, keepdims=True)
     tau = s_min + (s_max - s_min) / 2.0
@@ -129,4 +119,4 @@ def dws_predict(scores, query_predictions):
         first += n_rows
         start = stop
     weights = MemberWeights(np.where(survivors, inv / totals[:, None], 0.0), survivors)
-    return dw_predict(weights, preds), weights
+    return dw_predict(weights, query_predictions), weights

@@ -13,28 +13,29 @@ DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
 @pytest.fixture
 def two_neighbor_region() -> RegionOfCompetence:
-    """K=2 region at distances 1 and 3 (weights 0.75/0.25), observed targets
-    [0.5, 0.8], one member predicting [0.4, 1.0] on the neighbors."""
+    """A one-query block: K=2 region at distances 1 and 3 (weights
+    0.75/0.25), observed targets [0.5, 0.8], one member predicting
+    [0.4, 1.0] on the neighbors."""
     return RegionOfCompetence(
-        neighbor_indices=np.array([0, 1]),
-        distances=np.array([1.0, 3.0]),
-        d_weights=np.array([0.75, 0.25]),
-        observed=np.array([0.5, 0.8]),
-        member_predictions=np.array([[0.4, 1.0]]),
+        neighbor_indices=np.array([[0, 1]]),
+        distances=np.array([[1.0, 3.0]]),
+        d_weights=np.array([[0.75, 0.25]]),
+        observed=np.array([[0.5, 0.8]]),
+        member_predictions=np.array([[[0.4, 1.0]]]),
     )
 
 
 def random_region(rng: np.random.Generator, k: int, n_members: int) -> RegionOfCompetence:
-    """A structurally valid region with random contents: ascending positive
-    distances, weights from the real weight rule, random observations and
-    member predictions."""
-    distances = np.sort(rng.uniform(0.05, 5.0, size=k))
+    """A structurally valid one-query block region with random contents:
+    ascending positive distances, weights from the real weight rule, random
+    observations and member predictions."""
+    distances = np.sort(rng.uniform(0.05, 5.0, size=(1, k)))
     return RegionOfCompetence(
-        neighbor_indices=np.arange(k),
+        neighbor_indices=np.arange(k)[None],
         distances=distances,
         d_weights=inverse_distance_weights(distances),
-        observed=rng.normal(size=k),
-        member_predictions=rng.normal(size=(n_members, k)),
+        observed=rng.normal(size=(1, k)),
+        member_predictions=rng.normal(size=(1, n_members, k)),
     )
 
 

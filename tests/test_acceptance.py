@@ -67,13 +67,13 @@ def test_criterion_1_measure_oracle_suite(report):
         for measure in MEASURE_IDS:
             if measure == "m1" and k < 2:
                 continue  # variance needs two neighbors; the library refuses K=1
-            got = score_all(measure, region, qp)
+            got = score_all(measure, region, qp[None])[0]
             for member in range(n):
                 want = oracle_score(
                     measure,
-                    region.observed.tolist(),
-                    region.d_weights.tolist(),
-                    region.member_predictions[member].tolist(),
+                    region.observed[0].tolist(),
+                    region.d_weights[0].tolist(),
+                    region.member_predictions[0, member].tolist(),
                     float(qp[member]),
                 )
                 worst = max(worst, abs(float(got[member]) - want))
@@ -98,9 +98,9 @@ def test_criterion_2_worked_fixture(two_neighbor_region, report):
         "m7": 0.18660254037844388,
         "m8": 0.01,
     }
-    qp = np.array([0.6])
+    qp = np.array([[0.6]])
     worst = max(
-        abs(float(score_all(m, two_neighbor_region, qp)[0]) - want)
+        abs(float(score_all(m, two_neighbor_region, qp)[0, 0]) - want)
         for m, want in expected.items()
     )
     report(
@@ -117,21 +117,21 @@ def test_criterion_3_combiner_invariants(report):
     ok = True
     for _ in range(cases):
         m = int(rng.integers(1, 40))
-        scores = rng.uniform(1e-3, 10.0, size=m)
-        preds = rng.normal(size=m) * 10
+        scores = rng.uniform(1e-3, 10.0, size=(1, m))
+        preds = rng.normal(size=(1, m)) * 10
         lo, hi = preds.min(), preds.max()
 
         w = dw_weights(scores)
         ok &= abs(w.alpha.sum() - 1.0) <= 1e-9
-        ok &= lo - 1e-9 <= dw_predict(w, preds) <= hi + 1e-9
+        ok &= lo - 1e-9 <= dw_predict(w, preds)[0] <= hi + 1e-9
 
         value, winner = ds_predict(scores, preds)
-        ok &= value == preds[winner] and scores[winner] == scores.min()
+        ok &= value[0] == preds[0, winner[0]] and scores[0, winner[0]] == scores.min()
 
         value, kept = dws_predict(scores, preds)
-        ok &= kept.selected.any() and bool(kept.selected[int(np.argmin(scores))])
+        ok &= kept.selected.any() and bool(kept.selected[0, int(np.argmin(scores))])
         survivors = preds[kept.selected]
-        ok &= survivors.min() - 1e-9 <= value <= survivors.max() + 1e-9
+        ok &= survivors.min() - 1e-9 <= value[0] <= survivors.max() + 1e-9
         ok &= abs(kept.alpha.sum() - 1.0) <= 1e-9
 
         c = 10.0 ** rng.uniform(-3, 3)
@@ -152,16 +152,16 @@ def test_criterion_4_distance_weight_suite(report):
     rng = np.random.default_rng(404)
     ok = True
     for _ in range(1000):
-        d = np.sort(rng.uniform(0.01, 50.0, size=int(rng.integers(1, 30))))
+        d = np.sort(rng.uniform(0.01, 50.0, size=(1, int(rng.integers(1, 30)))))
         w = inverse_distance_weights(d)
         ok &= abs(w.sum() - 1.0) <= 1e-9 and np.all(w >= 0)
         ok &= np.max(np.abs(inverse_distance_weights(d * 1e3) - w)) < 1e-9
         if not ok:
             break
-    pair = inverse_distance_weights([1.0, 3.0])
-    ok &= np.max(np.abs(pair - [0.75, 0.25])) <= 1e-12
-    ok &= np.array_equal(inverse_distance_weights([0.0, 2.0]), [1.0, 0.0])
-    ok &= np.array_equal(inverse_distance_weights([0.0, 0.0, 5.0]), [0.5, 0.5, 0.0])
+    pair = inverse_distance_weights([[1.0, 3.0]])
+    ok &= np.max(np.abs(pair - [[0.75, 0.25]])) <= 1e-12
+    ok &= np.array_equal(inverse_distance_weights([[0.0, 2.0]]), [[1.0, 0.0]])
+    ok &= np.array_equal(inverse_distance_weights([[0.0, 0.0, 5.0]]), [[0.5, 0.5, 0.0]])
     report(
         4,
         "inverse-distance weights: normalized, worked pair, zero-distance "

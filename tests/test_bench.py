@@ -23,7 +23,8 @@ from drs.bench import (
     win_tie_loss,
     write_outputs,
 )
-from drs.datasets import Dataset
+from drs import bench
+from drs.datasets import Dataset, apply_normalization, normalize_minmax
 from drs.learners import TreeParams
 from drs.rng import derive_seed
 
@@ -207,6 +208,40 @@ class TestRunBenchmark:
     def test_requires_datasets(self):
         with pytest.raises(ValueError, match="dataset"):
             run_benchmark(small_config(), [])
+
+    def test_global_normalization_runs_once_per_dataset(self, monkeypatch):
+        calls = []
+
+        def counting(dataset):
+            calls.append(dataset.name)
+            return normalize_minmax(dataset)
+
+        monkeypatch.setattr(bench, "normalize_minmax", counting)
+        config = small_config(algorithms=("mean",), replications=3)
+        run_benchmark(config, [small_dataset(0), small_dataset(1)])
+        assert calls == ["synth0", "synth1"]
+        calls.clear()
+        run_replication(config, small_dataset(0), 5)
+        assert calls == ["synth0"]
+
+    def test_fold_normalization_maps_each_fold_once(self, monkeypatch):
+        fitted, applied = [], []
+
+        def counting_fit(dataset):
+            fitted.append(dataset.n_instances)
+            return normalize_minmax(dataset)
+
+        def counting_apply(dataset, params):
+            applied.append(dataset.n_instances)
+            return apply_normalization(dataset, params)
+
+        monkeypatch.setattr(bench, "normalize_minmax", counting_fit)
+        monkeypatch.setattr(bench, "apply_normalization", counting_apply)
+        config = small_config(algorithms=("mean",), normalization="fold", folds=4)
+        run_benchmark(config, [small_dataset(n=60)])
+        # Each fold fits on its 45 training rows and maps its 15 test rows.
+        assert fitted == [45] * 4 * config.replications
+        assert applied == [15] * 4 * config.replications
 
 
 @pytest.fixture

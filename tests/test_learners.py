@@ -247,8 +247,8 @@ class TestFitTree:
             np.array([[0.0], [1.0]]), np.array([0.0, 1.0]),
             TreeParams(min_parent_size=2),
         )
-        assert tree.predict(np.array([0.2])) == 0.0
-        assert tree.predict(np.array([0.9])) == 1.0
+        assert tree.predict(np.array([[0.2]]))[0] == 0.0
+        assert tree.predict(np.array([[0.9]]))[0] == 1.0
         assert tree.n_leaves == 2
 
     def test_distinct_rows_fit_exactly_when_fully_grown(self):
@@ -261,14 +261,14 @@ class TestFitTree:
     def test_constant_targets_single_leaf(self):
         tree = fit_individual(np.arange(10.0)[:, None], np.full(10, 3.25), TreeParams(2))
         assert tree.n_nodes == 1
-        assert tree.predict(np.array([99.0])) == 3.25
+        assert tree.predict(np.array([[99.0]]))[0] == 3.25
 
     def test_min_parent_size_stops_splitting(self):
         X = np.arange(9.0)[:, None]
         y = np.arange(9.0)
         tree = fit_individual(X, y, TreeParams(min_parent_size=10))
         assert tree.n_nodes == 1
-        assert tree.predict(np.array([4.0])) == y.mean()
+        assert tree.predict(np.array([[4.0]]))[0] == y.mean()
 
     def test_max_depth_zero_is_a_stump(self):
         X = np.arange(20.0)[:, None]
@@ -306,7 +306,7 @@ class TestFitTree:
             np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), TreeParams(2)
         )
         thr = float(tree.threshold[0])
-        assert tree.predict(np.array([thr])) == 0.0
+        assert tree.predict(np.array([[thr]]))[0] == 0.0
 
     def test_batch_prediction_matches_single(self):
         rng = np.random.default_rng(1)
@@ -315,13 +315,13 @@ class TestFitTree:
         tree = fit_individual(X, y)
         probes = rng.normal(size=(20, 4))
         batch = tree.predict(probes)
-        singles = [tree.predict(p) for p in probes]
+        singles = [tree.predict(p[None])[0] for p in probes]
         assert np.array_equal(batch, singles)
 
     def test_wrong_width_rejected(self):
         tree = fit_individual(np.zeros((5, 3)), np.arange(5.0), TreeParams(2))
         with pytest.raises(ValueError, match="features"):
-            tree.predict(np.zeros(2))
+            tree.predict(np.zeros((1, 2)))
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

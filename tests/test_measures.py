@@ -21,12 +21,12 @@ EXPECTED_FIXTURE = {
 
 
 def oracle(measure, region, member, query_prediction):
-    """``oracle_score`` for one member of a region."""
+    """``oracle_score`` for one member of a one-query block region."""
     return oracle_score(
         measure,
-        region.observed.tolist(),
-        region.d_weights.tolist(),
-        region.member_predictions[member].tolist(),
+        region.observed[0].tolist(),
+        region.d_weights[0].tolist(),
+        region.member_predictions[0, member].tolist(),
         float(query_prediction),
     )
 
@@ -38,11 +38,11 @@ class TestWorkedExample:
             assert got == pytest.approx(want, abs=1e-12), mid
 
     def test_vectorized_path(self, two_neighbor_region):
-        qp = np.array([0.6])
+        qp = np.array([[0.6]])
         for mid, want in EXPECTED_FIXTURE.items():
             got = score_all(mid, two_neighbor_region, qp)
-            assert got.shape == (1,)
-            assert got[0] == pytest.approx(want, abs=1e-12), mid
+            assert got.shape == (1, 1)
+            assert got[0, 0] == pytest.approx(want, abs=1e-12), mid
 
 
 class TestVectorizedAgreesWithScalar:
@@ -54,7 +54,7 @@ class TestVectorizedAgreesWithScalar:
             region = random_region(rng, k, n)
             qp = rng.normal(size=n)
             for mid in MEASURE_IDS:
-                vec = score_all(mid, region, qp)
+                vec = score_all(mid, region, qp[None])[0]
                 for i in range(n):
                     assert vec[i] == pytest.approx(oracle(mid, region, i, qp[i]), abs=1e-12), mid
 
@@ -66,7 +66,7 @@ class TestMeasureStructure:
         with pytest.raises(ValueError, match="m1"):
             oracle("m1", region, 0, 0.0)
         with pytest.raises(ValueError, match="m1"):
-            score_all("m1", region, rng.normal(size=3))
+            score_all("m1", region, rng.normal(size=(1, 3)))
 
     def test_m1_ignores_observed_targets(self):
         rng = np.random.default_rng(9)
@@ -92,7 +92,7 @@ class TestMeasureStructure:
             region.observed,
             rng.normal(size=region.member_predictions.shape),
         )
-        qp = rng.normal(size=3)
+        qp = rng.normal(size=(1, 3))
         assert np.allclose(
             score_all("m6", region, qp),
             score_all("m6", scrambled, qp),
@@ -107,7 +107,7 @@ class TestMeasureStructure:
         rng = np.random.default_rng(11)
         region = random_region(rng, 5, 4)
         perturbed_preds = region.member_predictions.copy()
-        perturbed_preds[:, 1:] += 50.0
+        perturbed_preds[..., 1:] += 50.0
         perturbed = RegionOfCompetence(
             region.neighbor_indices,
             region.distances,
@@ -129,7 +129,7 @@ class TestMeasureStructure:
 
     def test_scores_are_nonnegative_except_m1_zero_floor(self):
         rng = np.random.default_rng(13)
-        qp = rng.normal(size=6)
+        qp = rng.normal(size=(1, 6))
         for _ in range(30):
             region = random_region(rng, 7, 6)
             for mid in MEASURE_IDS:
@@ -153,8 +153,8 @@ class TestMeasureStructure:
             region.distances,
             region.d_weights,
             region.observed,
-            np.vstack([region.observed, region.member_predictions[1]]),
+            np.stack([region.observed, region.member_predictions[:, 1]], axis=1),
         )
         for mid in ("m2", "m3", "m4", "m5", "m7", "m8"):
             scores = score_all(mid, perfect)
-            assert scores[0] == pytest.approx(0.0, abs=1e-15), mid
+            assert scores[0, 0] == pytest.approx(0.0, abs=1e-15), mid

@@ -29,29 +29,29 @@ class TestFindNeighbors:
             ref = rng.normal(size=(n, d))
             x = rng.normal(size=d)
             k = int(rng.integers(1, n + 1))
-            idx, dist = find_neighbors(x, ref, k)
+            idx, dist = find_neighbors(x[None], ref, k)
             oidx, odist = oracle_neighbors(x, ref, k)
-            assert np.allclose(dist, odist, atol=1e-9)
-            assert list(idx) == oidx
+            assert np.allclose(dist[0], odist, atol=1e-9)
+            assert list(idx[0]) == oidx
 
     def test_duplicate_rows_tie_to_lower_index(self):
         ref = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
-        idx, dist = find_neighbors(np.array([1.0, 1.0]), ref, 3)
-        assert list(idx) == [0, 2, 3]
-        assert np.allclose(dist, [0.0, 0.0, 0.0])
+        idx, dist = find_neighbors(np.array([[1.0, 1.0]]), ref, 3)
+        assert list(idx[0]) == [0, 2, 3]
+        assert np.allclose(dist[0], [0.0, 0.0, 0.0])
 
     def test_distances_ascending(self):
         rng = np.random.default_rng(5)
         ref = rng.normal(size=(30, 3))
-        _, dist = find_neighbors(rng.normal(size=3), ref, 30)
-        assert np.all(np.diff(dist) >= 0)
+        _, dist = find_neighbors(rng.normal(size=(1, 3)), ref, 30)
+        assert np.all(np.diff(dist[0]) >= 0)
 
     def test_k_bounds(self):
         ref = np.zeros((3, 2))
         with pytest.raises(ValueError, match="k"):
-            find_neighbors(np.zeros(2), ref, 0)
+            find_neighbors(np.zeros((1, 2)), ref, 0)
         with pytest.raises(ValueError, match="exceeds"):
-            find_neighbors(np.zeros(2), ref, 4)
+            find_neighbors(np.zeros((1, 2)), ref, 4)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -70,9 +70,9 @@ class TestFindNeighbors:
             want = np.argsort(alone, kind="stable")[:k]
             assert row_idx.tolist() == want.tolist()
             assert row_dist.tobytes() == alone[want].tobytes()
-            one_idx, one_dist = find_neighbors(x, ref, k)
-            assert one_idx.tolist() == want.tolist()
-            assert one_dist.tobytes() == row_dist.tobytes()
+            one_idx, one_dist = find_neighbors(x[None], ref, k)
+            assert one_idx[0].tolist() == want.tolist()
+            assert one_dist[0].tobytes() == row_dist.tobytes()
 
     def test_tied_kth_distance_in_a_block(self):
         ref = np.array([[1.0], [3.0], [0.0], [3.0], [-1.0]])
@@ -84,12 +84,12 @@ class TestFindNeighbors:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="features"):
-            find_neighbors(np.zeros(3), np.zeros((5, 2)), 1)
+            find_neighbors(np.zeros((1, 3)), np.zeros((5, 2)), 1)
 
 
 class TestInverseDistanceWeights:
     def test_worked_example(self):
-        assert np.allclose(inverse_distance_weights([1.0, 3.0]), [0.75, 0.25], atol=1e-12)
+        assert np.allclose(inverse_distance_weights([[1.0, 3.0]]), [[0.75, 0.25]], atol=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -100,30 +100,30 @@ class TestInverseDistanceWeights:
         )
     )
     def test_sum_to_one_and_order_by_closeness(self, distances):
-        w = inverse_distance_weights(distances)
+        w = inverse_distance_weights([distances])[0]
         assert w.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(w > 0)
         order = np.argsort(distances, kind="stable")
         assert np.all(np.diff(w[order]) <= 1e-15)  # nearer gets at least as much
 
     def test_zero_distance_takes_all_weight(self):
-        assert np.array_equal(inverse_distance_weights([0.0, 2.0]), [1.0, 0.0])
+        assert np.array_equal(inverse_distance_weights([[0.0, 2.0]]), [[1.0, 0.0]])
 
     def test_multiple_zero_distances_share_uniformly(self):
-        w = inverse_distance_weights([0.0, 0.0, 5.0])
-        assert np.array_equal(w, [0.5, 0.5, 0.0])
+        w = inverse_distance_weights([[0.0, 0.0, 5.0]])
+        assert np.array_equal(w, [[0.5, 0.5, 0.0]])
 
     def test_invariant_to_scaling(self):
-        d = np.array([0.3, 1.7, 2.2, 9.0])
+        d = np.array([[0.3, 1.7, 2.2, 9.0]])
         assert np.allclose(
             inverse_distance_weights(d), inverse_distance_weights(d * 1e3), atol=1e-12
         )
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            inverse_distance_weights([])
+            inverse_distance_weights([[]])
         with pytest.raises(ValueError):
-            inverse_distance_weights([1.0, -0.5])
+            inverse_distance_weights([[1.0, -0.5]])
 
 
 class TestBuildRegion:
@@ -136,25 +136,16 @@ class TestBuildRegion:
 
     def test_carries_neighbor_targets_and_predictions(self):
         X, y, ens, q = self._fixture()
-        region = build_region(q, X, y, ens, 6)
+        region = build_region(q[None], X, y, ens.predict_all(X), 6)
         assert region.k == 6
         assert region.n_members == 7
         assert np.array_equal(region.observed, y[region.neighbor_indices])
-        direct = ens.predict_all(X[region.neighbor_indices])
-        assert np.array_equal(region.member_predictions, direct)
-        assert region.d_weights.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_precomputed_predictions_give_identical_region(self):
-        X, y, ens, q = self._fixture()
-        all_preds = ens.predict_all(X)
-        a = build_region(q, X, y, ens, 5)
-        b = build_region(q, X, y, ens, 5, reference_predictions=all_preds)
-        assert np.array_equal(a.neighbor_indices, b.neighbor_indices)
-        assert np.array_equal(a.member_predictions, b.member_predictions)
-        assert np.array_equal(a.d_weights, b.d_weights)
+        direct = ens.predict_all(X[region.neighbor_indices[0]])
+        assert np.array_equal(region.member_predictions[0], direct)
+        assert region.d_weights[0].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_query_equal_to_training_row(self):
         X, y, ens, _ = self._fixture()
-        region = build_region(X[4], X, y, ens, 3)
-        assert region.neighbor_indices[0] == 4
-        assert region.d_weights[0] == 1.0  # zero-distance rule
+        region = build_region(X[4][None], X, y, ens.predict_all(X), 3)
+        assert region.neighbor_indices[0, 0] == 4
+        assert region.d_weights[0, 0] == 1.0  # zero-distance rule

@@ -14,12 +14,12 @@ PREDS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 class TestDs:
     def test_picks_lowest_score(self):
-        value, winner = ds_predict([0.5, 0.1, 0.9], [10.0, 20.0, 30.0])
-        assert (value, winner) == (20.0, 1)
+        value, winner = ds_predict([[0.5, 0.1, 0.9]], [[10.0, 20.0, 30.0]])
+        assert (value[0], winner[0]) == (20.0, 1)
 
     def test_tie_goes_to_lowest_index(self):
-        value, winner = ds_predict([2.0, 1.0, 1.0], [5.0, 6.0, 7.0])
-        assert (value, winner) == (6.0, 1)
+        value, winner = ds_predict([[2.0, 1.0, 1.0]], [[5.0, 6.0, 7.0]])
+        assert (value[0], winner[0]) == (6.0, 1)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -28,7 +28,8 @@ class TestDs:
         preds = data.draw(
             st.lists(PREDS, min_size=len(scores), max_size=len(scores))
         )
-        value, winner = ds_predict(scores, preds)
+        value, winner = ds_predict([scores], [preds])
+        value, winner = value[0], winner[0]
         assert value == preds[winner]
         assert scores[winner] == min(scores)
 
@@ -80,13 +81,13 @@ class TestDwWeights:
         from drs.measures import score_all
 
         scores = score_all("m3", two_neighbor_region)
-        assert dw_weights(scores).alpha[0] == 1.0
+        assert dw_weights(scores).alpha[0, 0] == 1.0
 
 
 class TestDwPredict:
     def test_weighted_mean(self):
-        w = dw_weights([0.04, 0.16])
-        assert dw_predict(w, [3.0, 9.0]) == pytest.approx(5.0, abs=1e-12)
+        w = dw_weights([[0.04, 0.16]])
+        assert dw_predict(w, [[3.0, 9.0]])[0] == pytest.approx(5.0, abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -95,26 +96,26 @@ class TestDwPredict:
         preds = np.array(
             data.draw(st.lists(PREDS, min_size=len(scores), max_size=len(scores)))
         )
-        value = dw_predict(dw_weights(scores), preds)
+        value = dw_predict(dw_weights([scores]), preds[None])[0]
         assert preds.min() - 1e-9 <= value <= preds.max() + 1e-9
 
 
 class TestDws:
     def test_discards_upper_half_of_score_interval(self):
-        value, w = dws_predict([1.0, 2.0, 10.0], [1.0, 1.0, 9.0])
-        assert list(w.selected) == [True, True, False]
-        assert value == pytest.approx(1.0, abs=1e-12)
-        assert w.alpha[2] == 0.0
+        value, w = dws_predict([[1.0, 2.0, 10.0]], [[1.0, 1.0, 9.0]])
+        assert list(w.selected[0]) == [True, True, False]
+        assert value[0] == pytest.approx(1.0, abs=1e-12)
+        assert w.alpha[0, 2] == 0.0
 
     def test_keeps_scores_equal_to_threshold(self):
         # interval [0, 10] has midpoint 5; a score of exactly 5 survives
-        _, w = dws_predict([0.0, 5.0, 10.0], [0.0, 0.0, 0.0])
-        assert list(w.selected) == [True, True, False]
+        _, w = dws_predict([[0.0, 5.0, 10.0]], [[0.0, 0.0, 0.0]])
+        assert list(w.selected[0]) == [True, True, False]
 
     def test_equal_scores_keep_everyone(self):
-        value, w = dws_predict([3.0, 3.0, 3.0], [1.0, 2.0, 3.0])
+        value, w = dws_predict([[3.0, 3.0, 3.0]], [[1.0, 2.0, 3.0]])
         assert w.selected.all()
-        assert value == pytest.approx(2.0)
+        assert value[0] == pytest.approx(2.0)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -123,11 +124,12 @@ class TestDws:
         preds = np.array(
             data.draw(st.lists(PREDS, min_size=len(scores), max_size=len(scores)))
         )
-        value, w = dws_predict(scores, preds)
-        assert w.selected.any()
-        assert w.selected[np.argmin(scores)]
-        kept = preds[w.selected]
-        assert kept.min() - 1e-9 <= value <= kept.max() + 1e-9
-        assert w.alpha[~w.selected].sum() == 0.0
-        assert w.alpha.sum() == pytest.approx(1.0, abs=1e-9)
+        value, w = dws_predict(scores[None], preds[None])
+        selected, alpha = w.selected[0], w.alpha[0]
+        assert selected.any()
+        assert selected[np.argmin(scores)]
+        kept = preds[selected]
+        assert kept.min() - 1e-9 <= value[0] <= kept.max() + 1e-9
+        assert alpha[~selected].sum() == 0.0
+        assert alpha.sum() == pytest.approx(1.0, abs=1e-9)
 
