@@ -17,6 +17,11 @@ queries housing's own feature columns (``PREDICT_ARGS``).
 
 ``golden/housing.inspect.sha256`` pins ``drs inspect``: one line per run in
 ``INSPECT_RUNS`` with the sha256 of its stdout on housing.
+
+``golden/housing.raw.sha256`` pins the same commands on housing's raw units
+(``--normalize none``, with ``TAX`` up to 711): ``drs predict`` with ds and
+dws, and ``drs inspect`` on row 42. Large, unnormalised features are where
+the neighbour search's rounding bounds are loosest.
 """
 
 import contextlib
@@ -48,6 +53,9 @@ INSPECT_RUNS = (
     ("--row", "42", "--members", "25"),
     ("--row", "3", "--members", "5", "--k", "1"),
 )
+GOLDEN_RAW = GOLDEN_DIR / "housing.raw.sha256"
+RAW_PREDICT_ALGORITHMS = ("ds", "dws")
+RAW_INSPECT_RUNS = (("--row", "42", "--members", "25", "--normalize", "none"),)
 
 
 def test_housing_results_match_golden_bytes(tmp_path, capsys):
@@ -90,21 +98,23 @@ def test_housing_first_fold_trees_match_golden_hash():
     assert first_fold_trees_sha256() == GOLDEN_TREES.read_text().strip()
 
 
-def predict_stdout_sha256(workdir: Path) -> list[str]:
+def predict_stdout_sha256(workdir: Path, algorithms=PREDICT_ALGORITHMS, flags=()) -> list[str]:
     """``<sha256>  <algorithm>`` of ``drs predict``'s stdout for each algorithm,
-    querying the feature columns of housing.csv (header included)."""
+    querying the feature columns of housing.csv (header included), with
+    ``flags`` added to ``PREDICT_ARGS``."""
     housing = DATA_DIR / "housing.csv"
     query = Path(workdir) / "housing-features.csv"
     query.write_text(
         "".join(line.rsplit(",", 1)[0] + "\n" for line in housing.read_text().splitlines())
     )
     lines = []
-    for algo in PREDICT_ALGORITHMS:
+    for algo in algorithms:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(
                 ["predict", "--train", str(housing), "--query", str(query), "--algo", algo]
                 + PREDICT_ARGS
+                + list(flags)
             )
         assert code == 0, algo
         lines.append(f"{hashlib.sha256(out.getvalue().encode()).hexdigest()}  {algo}")
@@ -115,11 +125,11 @@ def test_housing_predictions_match_golden_hashes(tmp_path):
     assert predict_stdout_sha256(tmp_path) == GOLDEN_PREDICT.read_text().splitlines()
 
 
-def inspect_stdout_sha256() -> list[str]:
+def inspect_stdout_sha256(runs=INSPECT_RUNS) -> list[str]:
     """``<sha256>  <flags>`` of ``drs inspect``'s stdout on housing for each
-    run in ``INSPECT_RUNS``."""
+    run in ``runs``."""
     lines = []
-    for flags in INSPECT_RUNS:
+    for flags in runs:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(["inspect", "--data", str(DATA_DIR / "housing.csv"), *flags])
@@ -130,3 +140,9 @@ def inspect_stdout_sha256() -> list[str]:
 
 def test_housing_inspect_matches_golden_hashes():
     assert inspect_stdout_sha256() == GOLDEN_INSPECT.read_text().splitlines()
+
+
+def test_housing_raw_units_match_golden_hashes(tmp_path):
+    got = predict_stdout_sha256(tmp_path, RAW_PREDICT_ALGORITHMS, ("--normalize", "none"))
+    got += inspect_stdout_sha256(RAW_INSPECT_RUNS)
+    assert got == GOLDEN_RAW.read_text().splitlines()
