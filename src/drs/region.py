@@ -1,10 +1,16 @@
 """The region of competence: a query's K nearest training neighbors.
 
-Neighbor search is exact brute force with Euclidean distance; the training
-folds this library targets are small enough that an index would buy nothing
-and exactness keeps the competence scores auditable. Each neighbor also
-carries a normalized inverse-distance weight: nearer neighbors count more,
-and the weights sum to one.
+Neighbor search is exact, with Euclidean distance; the training folds this
+library targets are small enough that an index would buy nothing, and
+exactness keeps the competence scores auditable. It runs in two steps. A
+filter computes approximate squared distances, |x|^2 + |r|^2 - 2 x.r, with
+one matrix product per block, and keeps as candidates the reference rows
+within a rigorous rounding bound of each query's k-th approximate value
+(Higham, Accuracy and Stability of Numerical Algorithms, 2002, section
+3.1). The exact distances are then computed on the candidates alone, so
+indices and distances match a search over every reference row bit for bit.
+Each neighbor also carries a normalized inverse-distance weight: nearer
+neighbors count more, and the weights sum to one.
 
 Every function here takes a block of B queries, (B, d), and answers with
 one row per query; each row comes out bit for bit as it would in a block
@@ -51,8 +57,9 @@ def find_neighbors(x, reference_features, k: int):
     """Indices and distances of the k reference rows nearest to each row of x.
 
     ``x`` is a block of queries (B, d); the results are (B, k). Distances
-    are Euclidean, returned ascending; ties break toward the lower row
-    index, as a stable argsort of each row's distances.
+    are Euclidean, ``sqrt(((r - x) ** 2).sum())`` for each reference row r,
+    returned ascending; ties break toward the lower row index, as a stable
+    argsort of each row's distances over every reference row.
     """
     ref = np.asarray(reference_features, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -62,20 +69,59 @@ def find_neighbors(x, reference_features, k: int):
         raise ValueError(f"k ({k}) exceeds reference size ({ref.shape[0]})")
     if x.ndim != 2 or x.shape[1] != ref.shape[1]:
         raise ValueError(f"queries must be a (B, {ref.shape[1]}) block of features, got {x.shape}")
-    diff = ref - x[:, None, :]
-    diff **= 2
-    dist = np.sqrt(diff.sum(axis=-1))
-    # The stable argsort's first k are every distance below the k-th smallest
-    # and then the lowest-index rows at it; a stable sort of those k in row
-    # order gives its answer without sorting the whole row.
-    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
-    below = dist < kth
-    tied = dist == kth
-    room = k - below.sum(axis=1, keepdims=True)
-    rows = np.nonzero(below | (tied & (np.cumsum(tied, axis=1) <= room)))[1].reshape(-1, k)
-    order = np.argsort(np.take_along_axis(dist, rows, axis=1), axis=1, kind="stable")
-    nearest = np.take_along_axis(rows, order, axis=1)
-    return nearest, np.take_along_axis(dist, nearest, axis=1)
+    d = ref.shape[1]
+    # Rounding bound. Each squared distance, and each |x|^2 + |r|^2 + 2|x.r|,
+    # is at most scale / 2. Summed in any order, with or without FMA, the
+    # approximation is off by at most about (d + 3) u scale / 2, and the
+    # exact expression with its sqrt by about (d + 4) u scale / 2 (Higham
+    # 2002, section 3.1; u is the unit roundoff, and the smallest normal
+    # number covers underflow). 2 * slack is about twice their sum, so every
+    # row whose exact distance is at most the k-th, ties after the sqrt
+    # included, has its approximation within 2 * slack of the k-th
+    # approximation. A row whose bound is not finite (overflow, inf or nan)
+    # keeps every reference row, so overflow here is expected, not reported.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref_sq = np.einsum("ij,ij->i", ref, ref)
+        x_sq = np.einsum("ij,ij->i", x, x)
+        approx = x @ ref.T
+        approx *= -2.0
+        approx += ref_sq
+        approx += x_sq[:, None]
+        scale = 4.0 * (x_sq + ref_sq.max())
+        slack = (2 * d + 8) * (np.finfo(float).eps / 2 * scale + np.finfo(float).tiny)
+        limit = np.partition(approx, k - 1, axis=1)[:, k - 1] + 2.0 * slack
+    candidate = approx <= limit[:, None]
+    candidate[~np.isfinite(limit) | ~np.isfinite(approx).all(axis=1)] = True
+
+    nearest = np.empty((len(x), k), dtype=np.intp)
+    distances = np.empty((len(x), k))
+    # Rows with c candidates are gathered together as a rectangular
+    # (rows, c) block, candidates in reference-row order.
+    counts = candidate.sum(axis=1)
+    by_count = np.argsort(counts, kind="stable")
+    columns = np.nonzero(candidate[by_count])[1]
+    first = start = 0
+    for c, n_rows in zip(*np.unique(counts, return_counts=True)):
+        rows = by_count[first : first + n_rows]
+        cand = columns[start : start + c * n_rows].reshape(n_rows, c)
+        first += n_rows
+        start += c * n_rows
+        diff = ref[cand] - x[rows, None, :]
+        diff **= 2
+        dist = np.sqrt(diff.sum(axis=-1))
+        # The stable argsort's first k are every distance below the k-th
+        # smallest and then the lowest-index rows at it; a stable sort of
+        # those k in row order gives its answer without sorting the whole row.
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+        below = dist < kth
+        tied = dist == kth
+        room = k - below.sum(axis=1, keepdims=True)
+        picked = np.nonzero(below | (tied & (np.cumsum(tied, axis=1) <= room)))[1].reshape(-1, k)
+        order = np.argsort(np.take_along_axis(dist, picked, axis=1), axis=1, kind="stable")
+        picked = np.take_along_axis(picked, order, axis=1)
+        nearest[rows] = np.take_along_axis(cand, picked, axis=1)
+        distances[rows] = np.take_along_axis(dist, picked, axis=1)
+    return nearest, distances
 
 
 def inverse_distance_weights(distances) -> np.ndarray:

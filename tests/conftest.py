@@ -11,6 +11,18 @@ from drs.region import RegionOfCompetence, inverse_distance_weights
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
 
+def reference_find_neighbors(x, reference_features, k):
+    """The full-distance search that ``region.find_neighbors`` must match bit
+    for bit: the exact distance to every reference row of each query in the
+    (B, d) block, then a stable argsort's first k of each row."""
+    ref = np.asarray(reference_features, dtype=float)
+    diff = ref - np.asarray(x, dtype=float)[:, None, :]
+    diff **= 2
+    dist = np.sqrt(diff.sum(axis=-1))
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return nearest, np.take_along_axis(dist, nearest, axis=1)
+
+
 @pytest.fixture
 def two_neighbor_region() -> RegionOfCompetence:
     """A one-query block: K=2 region at distances 1 and 3 (weights

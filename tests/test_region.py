@@ -1,11 +1,13 @@
 """Neighbor search, inverse-distance weights, and region assembly."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_find_neighbors
 from drs.learners import generate_ensemble
 from drs.region import build_region, find_neighbors, inverse_distance_weights
 
@@ -82,9 +84,70 @@ class TestFindNeighbors:
         assert idx.tolist() == [[0, 1], [2, 0], [0, 2]]
         assert dist.tolist() == [[1.0, 1.0], [0.0, 1.0], [0.0, 1.0]]
 
+    # Both searches square differences near 1e155 and overflow to inf.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_features_search_every_reference_row(self):
+        # Near 1e155 the squares overflow: the approximate distances are nan
+        # and the rounding bound infinite, so each query keeps every row.
+        rng = np.random.default_rng(0)
+        ref = rng.random((8, 2)) * 1e155
+        x = rng.random((3, 2)) * 1e155
+        idx, dist = find_neighbors(x, ref, 5)
+        want_idx, want_dist = reference_find_neighbors(x, ref, 5)
+        assert idx.tolist() == want_idx.tolist()
+        assert dist.tobytes() == want_dist.tobytes()
+
+    def test_peak_memory_stays_far_below_the_full_distance_temporary(self):
+        rng = np.random.default_rng(0)
+        ref = rng.random((20_000, 13))
+        x = rng.random((64, 13))
+        tracemalloc.start()
+        try:
+            find_neighbors(x, ref, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A (64, 20000, 13) float temporary would take 133 MB.
+        assert peak < 64 * 20_000 * 13 * 8 / 4
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="features"):
             find_neighbors(np.zeros((1, 3)), np.zeros((5, 2)), 1)
+
+
+@st.composite
+def neighbor_problems(draw):
+    """A reference set and a query block at scales from 1e-8 to 1e8 (and
+    near 1e155, where the squares overflow), offset by up to 1e8: coarse
+    grids with ties at the k-th distance, duplicated reference rows, queries
+    equal to reference rows (zero distances), k up to n and n down to 1."""
+    n = draw(st.integers(1, 24))
+    d = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        values = st.integers(-2, 2).map(float)
+    else:
+        values = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+    row = st.lists(values, min_size=d, max_size=d)
+    ref = np.array(draw(st.lists(row, min_size=n, max_size=n)))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))):
+        ref[dst] = ref[src]
+    x = np.array(draw(st.lists(row, min_size=1, max_size=6)))
+    copies = draw(st.lists(st.integers(0, n - 1), max_size=len(x)))
+    x[: len(copies)] = ref[copies]
+    scale = draw(st.one_of(st.integers(-8, 8).map(lambda e: 10.0**e), st.just(1e155)))
+    offset = draw(st.sampled_from([0.0, 1.0, -3.5, 1e4, 1e8, -1e8]))
+    return x * scale + offset, ref * scale + offset, draw(st.integers(1, n))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(neighbor_problems())
+def test_filtered_search_equals_the_full_search(problem):
+    x, ref, k = problem
+    idx, dist = find_neighbors(x, ref, k)
+    want_idx, want_dist = reference_find_neighbors(x, ref, k)
+    assert idx.tolist() == want_idx.tolist()
+    assert dist.tobytes() == want_dist.tobytes()
 
 
 class TestInverseDistanceWeights:
