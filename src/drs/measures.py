@@ -46,6 +46,12 @@ def score_all(
     """
     mid = measure_id.lower()
     preds = region.member_predictions
+    if preds.ndim != 3 or region.observed.ndim != 2 or region.d_weights.ndim != 2:
+        raise ValueError(
+            "region must be a block of B queries: (B, N, K) member predictions and "
+            f"(B, K) targets and weights, got shapes {preds.shape}, "
+            f"{region.observed.shape} and {region.d_weights.shape}; scores are (B, N)"
+        )
     observed = region.observed[..., None, :]
     d = region.d_weights[..., None, :]
     # The weighted sums are matrix-vector products, (N, K) @ (K, 1) per

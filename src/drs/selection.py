@@ -36,14 +36,22 @@ class MemberWeights:
         object.__setattr__(self, "selected", np.asarray(self.selected, dtype=bool))
 
 
+def _block(name: str, values) -> np.ndarray:
+    """``values`` as a float (B, N) block; a ValueError names any other shape."""
+    block = np.asarray(values, dtype=float)
+    if block.ndim != 2:
+        raise ValueError(f"{name} must be a (B, N) block, one row per query, got shape {block.shape}")
+    return block
+
+
 def ds_predict(scores, query_predictions):
     """Select the member with the lowest score; return its query prediction.
 
     Ties go to the lowest member index. Returns (B,) arrays of the
     predictions and of the selected members.
     """
-    s = np.asarray(scores, dtype=float)
-    preds = np.asarray(query_predictions, dtype=float)
+    s = _block("scores", scores)
+    preds = _block("query_predictions", query_predictions)
     winner = np.argmin(s, axis=1)
     return np.take_along_axis(preds, winner[:, None], axis=1)[:, 0], winner
 
@@ -74,15 +82,16 @@ def dw_weights(scores) -> MemberWeights:
     above 1e-12. The (B, N) block is weighted row by row.
     """
     # C order, so each row's sum runs over contiguous memory at any block size.
-    s = np.ascontiguousarray(scores, dtype=float)
+    s = np.ascontiguousarray(_block("scores", scores))
     inv = _inverse_sqrt(s, True)
     return MemberWeights(inv / inv.sum(axis=-1, keepdims=True), np.ones(s.shape, dtype=bool))
 
 
 def dw_predict(weights: MemberWeights, query_predictions):
     """Weighted mean of the member predictions at each query, (B,)."""
-    preds = np.asarray(query_predictions, dtype=float)
-    return (weights.alpha[:, None, :] @ preds[:, :, None])[:, 0, 0]
+    alpha = _block("weights.alpha", weights.alpha)
+    preds = _block("query_predictions", query_predictions)
+    return (alpha[:, None, :] @ preds[:, :, None])[:, 0, 0]
 
 
 def dws_predict(scores, query_predictions):
@@ -95,7 +104,7 @@ def dws_predict(scores, query_predictions):
     empty. Returns (prediction, MemberWeights), with (B,) predictions and
     (B, N) weights.
     """
-    s = np.asarray(scores, dtype=float)
+    s = _block("scores", scores)
     s_min = s.min(axis=1, keepdims=True)
     s_max = s.max(axis=1, keepdims=True)
     tau = s_min + (s_max - s_min) / 2.0

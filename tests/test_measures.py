@@ -103,6 +103,15 @@ class TestMeasureStructure:
         with pytest.raises(ValueError, match="query"):
             score_all("m6", two_neighbor_region)
 
+    def test_rejects_a_one_query_region(self, two_neighbor_region):
+        r = two_neighbor_region
+        unbatched = RegionOfCompetence(
+            r.neighbor_indices[0], r.distances[0], r.d_weights[0],
+            r.observed[0], r.member_predictions[0],
+        )
+        with pytest.raises(ValueError, match=r"\(B, N, K\).*\(1, 2\)"):
+            score_all("m3", unbatched)
+
     def test_m8_uses_only_the_nearest_neighbor(self):
         rng = np.random.default_rng(11)
         region = random_region(rng, 5, 4)

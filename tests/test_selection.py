@@ -34,20 +34,25 @@ class TestDs:
         assert scores[winner] == min(scores)
 
 
+    def test_rejects_one_query_vectors(self):
+        with pytest.raises(ValueError, match=r"\(B, N\) block.*\(2,\)"):
+            ds_predict([0.1, 0.2], [1.0, 2.0])
+
+
 class TestDwWeights:
     def test_worked_example(self):
-        w = dw_weights([0.04, 0.16])
-        assert np.allclose(w.alpha, [2 / 3, 1 / 3], atol=1e-12)
+        w = dw_weights([[0.04, 0.16]])
+        assert np.allclose(w.alpha, [[2 / 3, 1 / 3]], atol=1e-12)
         assert w.selected.all()
 
     @settings(max_examples=300, deadline=None)
     @given(SCORES)
     def test_sum_to_one_and_monotone(self, scores):
-        w = dw_weights(scores)
-        assert w.alpha.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(w.alpha > 0)
+        alpha = dw_weights([scores]).alpha[0]
+        assert alpha.sum() == pytest.approx(1.0, abs=1e-9)
+        assert np.all(alpha > 0)
         order = np.argsort(scores, kind="stable")
-        assert np.all(np.diff(w.alpha[order]) <= 1e-12)  # lower score, higher weight
+        assert np.all(np.diff(alpha[order]) <= 1e-12)  # lower score, higher weight
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -61,27 +66,32 @@ class TestDwWeights:
     def test_invariant_to_positive_rescaling(self, scores, c):
         # scaled scores stay far above the zero-score tolerance, where the
         # weight rule switches to uniform sharing and invariance ends
-        a = dw_weights(scores).alpha
-        b = dw_weights(np.asarray(scores) * c).alpha
+        a = dw_weights([scores]).alpha
+        b = dw_weights(np.asarray([scores]) * c).alpha
         assert np.max(np.abs(a - b)) < 1e-9
 
     def test_zero_score_takes_all_weight(self):
-        w = dw_weights([0.0, 4.0])
-        assert np.array_equal(w.alpha, [1.0, 0.0])
+        w = dw_weights([[0.0, 4.0]])
+        assert np.array_equal(w.alpha, [[1.0, 0.0]])
 
     def test_multiple_zero_scores_share_uniformly(self):
-        w = dw_weights([0.0, 2.0, 0.0])
-        assert np.array_equal(w.alpha, [0.5, 0.0, 0.5])
+        w = dw_weights([[0.0, 2.0, 0.0]])
+        assert np.array_equal(w.alpha, [[0.5, 0.0, 0.5]])
 
     def test_negative_scores_rejected(self):
         with pytest.raises(ValueError, match="nonneg"):
-            dw_weights([0.5, -0.1])
+            dw_weights([[0.5, -0.1]])
 
     def test_accepts_score_container(self, two_neighbor_region):
         from drs.measures import score_all
 
         scores = score_all("m3", two_neighbor_region)
         assert dw_weights(scores).alpha[0, 0] == 1.0
+
+
+    def test_rejects_one_query_vectors(self):
+        with pytest.raises(ValueError, match=r"\(B, N\) block.*\(2,\)"):
+            dw_weights([0.1, 0.2])
 
 
 class TestDwPredict:
@@ -98,6 +108,11 @@ class TestDwPredict:
         )
         value = dw_predict(dw_weights([scores]), preds[None])[0]
         assert preds.min() - 1e-9 <= value <= preds.max() + 1e-9
+
+
+    def test_rejects_one_query_vectors(self):
+        with pytest.raises(ValueError, match=r"\(B, N\) block.*\(2,\)"):
+            dw_predict(dw_weights([[0.1, 0.2]]), [1.0, 2.0])
 
 
 class TestDws:
@@ -133,3 +148,6 @@ class TestDws:
         assert alpha[~selected].sum() == 0.0
         assert alpha.sum() == pytest.approx(1.0, abs=1e-9)
 
+    def test_rejects_one_query_vectors(self):
+        with pytest.raises(ValueError, match=r"\(B, N\) block.*\(2,\)"):
+            dws_predict([0.1, 0.2], [1.0, 2.0])
