@@ -42,8 +42,9 @@ DYNAMIC_ALGORITHMS = ("ds", "dw", "dws")
 NORMALIZATION_MODES = ("global", "fold", "none")
 SCALES = ("1e-4", "raw")
 # Largest cell count of one query block's per-query temporaries: the
-# (B, n_reference, d) distances and the (N, B, k) member predictions on the
-# neighbours, with the measures' (B, N, k) temporaries of the same size.
+# (B, n_reference) approximate squared distances of the neighbour search and
+# the (N, B, k) member predictions on the neighbours, with the measures'
+# (B, N, k) temporaries of the same size.
 _QUERY_CELLS = 1 << 18
 
 
@@ -161,9 +162,9 @@ def displayed_value(mean: float, scale: str = "1e-4") -> float:
 
 def _block_rows(reference_X, k, n_members) -> int:
     """Query rows per block: as many as keep the larger per-query temporary,
-    n_reference * d distances or n_members * k gathered predictions, under
-    ``_QUERY_CELLS`` cells (pass n_members 0 when nothing is gathered)."""
-    return max(1, _QUERY_CELLS // max(1, np.size(reference_X), n_members * k))
+    n_reference approximate distances or n_members * k gathered predictions,
+    under ``_QUERY_CELLS`` cells (pass n_members 0 when nothing is gathered)."""
+    return max(1, _QUERY_CELLS // max(1, len(reference_X), n_members * k))
 
 
 def predict_queries(keys, reference_X, reference_y, query_X, k, ensemble, individual=None):

@@ -175,17 +175,20 @@ def test_blocks_equal_one_query_reference(problem):
     keys = [(a, "") for a in ALGORITHMS if a not in DYNAMIC_ALGORITHMS]
     keys += [(a, m) for a in DYNAMIC_ALGORITHMS for m in measures]
     # Blocks of `block` rows, so Q spans one block, several, and a partial last one.
-    cells = problem["block"] * max(X.size, problem["members"] * k)
+    cells = problem["block"] * max(len(X), problem["members"] * k)
     with mock.patch.object(bench, "_QUERY_CELLS", cells):
         assert_blocks_match_reference(keys, X, y, Q, k, ensemble, individual)
 
 
 def test_housing_blocks_equal_one_query_reference():
-    """Housing's 13 features and a fold-sized query set, with the default
-    block size, a 20-member ensemble and every measure."""
+    """Housing's 13 features, with the default block size, a 20-member
+    ensemble and every measure: the 51 rows left out of the reference set
+    and 549 jittered housing rows, more than one block."""
     housing, _ = normalize_minmax(load_csv(DATA_DIR / "housing.csv"))
     X, y = housing.features[:455], housing.targets[:455]
-    Q = housing.features[455:]
+    rng = np.random.default_rng(0)
+    jittered = housing.features[rng.integers(0, 506, 549)] + rng.uniform(-0.05, 0.05, (549, 13))
+    Q = np.vstack([housing.features[455:], np.clip(jittered, 0.0, 1.0)])
     ensemble = generate_ensemble(X, y, 20, TreeParams(min_leaf_size=5), 3)
     keys = [(a, m) for a in DYNAMIC_ALGORITHMS for m in MEASURE_IDS] + [("mean", "")]
     assert len(Q) > bench._block_rows(X, 10, ensemble.n_members)  # more than one block
