@@ -40,7 +40,7 @@ def _block(name: str, values) -> np.ndarray:
     """``values`` as a float (B, N) block; a ValueError names any other shape."""
     block = np.asarray(values, dtype=float)
     if block.ndim != 2:
-        raise ValueError(f"{name} must be a (B, N) block, one row per query, got shape {block.shape}")
+        raise ValueError(f"{name} must be a (B, N) block, one row per query, got {block.shape}")
     return block
 
 
