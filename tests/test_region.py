@@ -118,11 +118,12 @@ class TestFindNeighbors:
 @st.composite
 def neighbor_problems(draw):
     """A reference set and a query block at scales from 1e-8 to 1e8 (and
-    near 1e155, where the squares overflow), offset by up to 1e8: coarse
+    near 1e155, where the squares overflow), offset by up to 1e8, with up
+    to 16 features (numpy sums 8 or more values in 8 partial sums): coarse
     grids with ties at the k-th distance, duplicated reference rows, queries
     equal to reference rows (zero distances), k up to n and n down to 1."""
     n = draw(st.integers(1, 24))
-    d = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 16))
     if draw(st.booleans()):
         values = st.integers(-2, 2).map(float)
     else:
