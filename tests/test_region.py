@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import reference_find_neighbors
 from drs.learners import generate_ensemble
@@ -84,19 +84,6 @@ class TestFindNeighbors:
         assert idx.tolist() == [[0, 1], [2, 0], [0, 2]]
         assert dist.tolist() == [[1.0, 1.0], [0.0, 1.0], [0.0, 1.0]]
 
-    # Both searches square differences near 1e155 and overflow to inf.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_overflowing_features_search_every_reference_row(self):
-        # Near 1e155 the squares overflow: the approximate distances are nan
-        # and the rounding bound infinite, so each query keeps every row.
-        rng = np.random.default_rng(0)
-        ref = rng.random((8, 2)) * 1e155
-        x = rng.random((3, 2)) * 1e155
-        idx, dist = find_neighbors(x, ref, 5)
-        want_idx, want_dist = reference_find_neighbors(x, ref, 5)
-        assert idx.tolist() == want_idx.tolist()
-        assert dist.tobytes() == want_dist.tobytes()
-
     def test_peak_memory_stays_far_below_the_full_distance_temporary(self):
         rng = np.random.default_rng(0)
         ref = rng.random((20_000, 13))
@@ -140,9 +127,16 @@ def neighbor_problems(draw):
     return x * scale + offset, ref * scale + offset, draw(st.integers(1, n))
 
 
+# Near 1e155 the squares overflow: the approximate distances are nan and the
+# rounding bound infinite, so each query must keep every reference row.
+_HUGE = np.random.default_rng(0).random((11, 2)) * 1e155
+
+
+# Both searches square differences near 1e155 and overflow to inf.
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=400, deadline=None)
 @given(neighbor_problems())
+@example((_HUGE[:3], _HUGE[3:], 5))
 def test_filtered_search_equals_the_full_search(problem):
     x, ref, k = problem
     idx, dist = find_neighbors(x, ref, k)
