@@ -16,7 +16,9 @@ algorithm with the sha256 of its stdout when it trains on housing and
 queries housing's own feature columns (``PREDICT_ARGS``).
 
 ``golden/housing.inspect.sha256`` pins ``drs inspect``: one line per run in
-``INSPECT_RUNS`` with the sha256 of its stdout on housing.
+``INSPECT_RUNS`` with the sha256 of its stdout on housing. Its first line
+echoes ``--data`` as given, so the runs start in the repository root with
+the relative path ``data/housing.csv``, and the pin holds in any checkout.
 
 ``golden/housing.raw.sha256`` pins the same commands on housing's raw units
 (``--normalize none``, with ``TAX`` up to 711): ``drs predict`` with ds and
@@ -47,6 +49,7 @@ GOLDEN_ARGS = [
 PREDICT_ARGS = ["--members", "25", "--measure", "m7"]
 PREDICT_ALGORITHMS = ("single", "mean", "median", "ds", "dw", "dws")
 GOLDEN_INSPECT = GOLDEN_DIR / "housing.inspect.sha256"
+INSPECT_DATA = "data/housing.csv"  # relative to the repository root
 # Row 3 with k = 1 takes the m1 column's no-score path.
 INSPECT_RUNS = (
     ("--row", "0", "--members", "25"),
@@ -125,24 +128,25 @@ def test_housing_predictions_match_golden_hashes(tmp_path):
     assert predict_stdout_sha256(tmp_path) == GOLDEN_PREDICT.read_text().splitlines()
 
 
-def inspect_stdout_sha256(runs=INSPECT_RUNS) -> list[str]:
+def inspect_stdout_sha256(monkeypatch, runs=INSPECT_RUNS) -> list[str]:
     """``<sha256>  <flags>`` of ``drs inspect``'s stdout on housing for each
-    run in ``runs``."""
+    run in ``runs``, run from the repository root."""
+    monkeypatch.chdir(DATA_DIR.parent)
     lines = []
     for flags in runs:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main(["inspect", "--data", str(DATA_DIR / "housing.csv"), *flags])
+            code = main(["inspect", "--data", INSPECT_DATA, *flags])
         assert code == 0, flags
         lines.append(f"{hashlib.sha256(out.getvalue().encode()).hexdigest()}  {' '.join(flags)}")
     return lines
 
 
-def test_housing_inspect_matches_golden_hashes():
-    assert inspect_stdout_sha256() == GOLDEN_INSPECT.read_text().splitlines()
+def test_housing_inspect_matches_golden_hashes(monkeypatch):
+    assert inspect_stdout_sha256(monkeypatch) == GOLDEN_INSPECT.read_text().splitlines()
 
 
-def test_housing_raw_units_match_golden_hashes(tmp_path):
+def test_housing_raw_units_match_golden_hashes(tmp_path, monkeypatch):
     got = predict_stdout_sha256(tmp_path, RAW_PREDICT_ALGORITHMS, ("--normalize", "none"))
-    got += inspect_stdout_sha256(RAW_INSPECT_RUNS)
+    got += inspect_stdout_sha256(monkeypatch, RAW_INSPECT_RUNS)
     assert got == GOLDEN_RAW.read_text().splitlines()
