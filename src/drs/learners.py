@@ -112,20 +112,23 @@ class RegressionTree:
         return self.value[idx]
 
     def to_text(self) -> str:
-        """Line-oriented audit dump: one node per line.
+        """Line-oriented audit dump: one node per line, in preorder from the root.
 
-        ``id node feature threshold left right`` for internal nodes,
-        ``id leaf value`` for leaves. Not a stability-guaranteed format.
+        ``node feature threshold`` for an internal node, followed by its left
+        and then its right subtree; ``leaf value`` for a leaf. The dump fixes
+        the tree's shape and every value but shows no node ids, so it does
+        not depend on how the nodes are numbered. Not a stability-guaranteed
+        format.
         """
         lines = []
-        for i in range(self.n_nodes):
+        stack = [0]
+        while stack:
+            i = stack.pop()
             if self.feature[i] < 0:
-                lines.append(f"{i} leaf {float(self.value[i])!r}")
+                lines.append(f"leaf {float(self.value[i])!r}")
             else:
-                lines.append(
-                    f"{i} node {int(self.feature[i])} {float(self.threshold[i])!r} "
-                    f"{self.left[i]} {self.right[i]}"
-                )
+                lines.append(f"node {int(self.feature[i])} {float(self.threshold[i])!r}")
+                stack += [self.right[i], self.left[i]]
         return "\n".join(lines)
 
 

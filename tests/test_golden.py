@@ -8,8 +8,10 @@ largest absolute change of any MSE.
 ``golden/housing.trees.sha256`` pins the trees of that run's first fold: the
 sha256 of the ``to_text()`` dumps of every ensemble member, in member order,
 followed by the fold's individual tree, each dump ending in a newline. A
-tree-builder change must keep every node, threshold and leaf value bit for
-bit, not only the rounded MSEs.
+dump lists the nodes in preorder, without node ids, so the pin fixes every
+tree's shape, split features, thresholds and leaf values bit for bit but
+not how its nodes are numbered. A tree-builder change must keep all of
+those, not only the rounded MSEs.
 
 ``golden/housing.predict.sha256`` pins ``drs predict``: one line per
 algorithm with the sha256 of its stdout when it trains on housing and
