@@ -14,9 +14,10 @@ SLIQ, Mehta et al. 1996, and XGBoost's depth-wise builder, Chen & Guestrin
 in bag order. The nodes of one depth are batched by size, under a fixed
 cell cap, and the purity check, the leaf mean and the split search run once
 per batch instead of once per node. Children come from a stable partition
-of their parent's rows, and node ids are renumbered to those a depth-first,
-node-at-a-time builder assigns. The trees are the node-at-a-time builder's
-bit for bit:
+of their parent's rows. Each tree stores its nodes in the order they are
+grown, depth by depth from the root. The nodes, splits, thresholds and leaf
+values are a node-at-a-time builder's bit for bit; only the numbering of
+the nodes differs:
 
 - a batch holds nodes of one exact size, so the row-wise ``var`` and
   ``mean`` of a batch use the same pairwise summation as 1-D calls;
@@ -233,7 +234,10 @@ def _grow_trees(X, y, bags, params: TreeParams) -> list[RegressionTree]:
     rows = bags.ravel()
     tree_of = np.arange(n_trees)
     sizes = np.full(n_trees, n)
-    nodes_by_depth = []  # (tree_of, feature, threshold, value, left, right)
+    # Per depth: (tree_of, feature, threshold, value, left, right), children
+    # numbered across all depths.
+    nodes_by_depth = []
+    n_grown = 0  # nodes of the depths above
     depth = 0
     while True:
         n_nodes = tree_of.size
@@ -245,7 +249,7 @@ def _grow_trees(X, y, bags, params: TreeParams) -> list[RegressionTree]:
         right = np.full(n_nodes, -1)
         splittable = params.max_depth is None or depth < params.max_depth
         child_rows, child_sizes, parents = [], [], []
-        n_children = 0
+        n_children = n_grown + n_nodes  # the next depth starts here
 
         by_size = np.argsort(sizes, kind="stable")
         cuts = np.flatnonzero(np.diff(sizes[by_size])) + 1
@@ -294,66 +298,23 @@ def _grow_trees(X, y, bags, params: TreeParams) -> list[RegressionTree]:
         tree_of = tree_of[np.concatenate(parents)]
         sizes = np.concatenate(child_sizes)
         rows = np.concatenate(child_rows)
+        n_grown += n_nodes
         depth += 1
 
-    return _number_depth_first(nodes_by_depth, n_trees, d)
-
-
-def _number_depth_first(nodes_by_depth, n_trees, n_features) -> list[RegressionTree]:
-    """Assemble trees whose node ids are those of a depth-first builder.
-
-    A depth-first builder that numbers both children when it splits a node
-    gives the children of the j-th split node (in preorder) ids 2j+1 and
-    2j+2. A node's preorder rank among split nodes follows from the number
-    of split nodes in its left sibling's subtree, counted bottom up.
-    """
-    internal = [None] * len(nodes_by_depth)  # split nodes in each node's subtree
-    for t in range(len(nodes_by_depth) - 1, -1, -1):
-        _, feature, _, _, left, right = nodes_by_depth[t]
-        split = feature >= 0
-        count = split.astype(np.int64)
-        if split.any():
-            below = internal[t + 1]
-            count[split] += below[left[split]] + below[right[split]]
-        internal[t] = count
-
-    sizes = 2 * internal[0] + 1
+    # Each tree keeps its nodes in the order they were grown: depth by depth,
+    # root first. A child's id within its tree is its rank among the tree's nodes.
+    tree_of, feature, threshold, value, left, right = map(np.concatenate, zip(*nodes_by_depth))
+    order = np.argsort(tree_of, kind="stable")
+    sizes = np.bincount(tree_of, minlength=n_trees)
     base = np.cumsum(sizes) - sizes
-    total = int(sizes.sum())
-    out_feature = np.full(total, -1)
-    out_threshold = np.full(total, np.nan)
-    out_left = np.full(total, -1)
-    out_right = np.full(total, -1)
-    out_value = np.full(total, np.nan)
-
-    rank = np.zeros(n_trees, dtype=np.int64)
-    node_id = np.zeros(n_trees, dtype=np.int64)
-    for t, (tree_of, feature, threshold, value, left, right) in enumerate(nodes_by_depth):
-        at = base[tree_of] + node_id
-        out_feature[at] = feature
-        out_threshold[at] = threshold
-        out_value[at] = value
-        split = np.flatnonzero(feature >= 0)
-        if not split.size:
-            break
-        j = rank[split]
-        out_left[at[split]] = 2 * j + 1
-        out_right[at[split]] = 2 * j + 2
-        n_next = internal[t + 1].size
-        rank = np.empty(n_next, dtype=np.int64)
-        node_id = np.empty(n_next, dtype=np.int64)
-        rank[left[split]] = j + 1
-        rank[right[split]] = j + 1 + internal[t + 1][left[split]]
-        node_id[left[split]] = 2 * j + 1
-        node_id[right[split]] = 2 * j + 2
-
-    return [
-        RegressionTree(
-            out_feature[lo:hi], out_threshold[lo:hi], out_left[lo:hi],
-            out_right[lo:hi], out_value[lo:hi], n_features,
-        )
-        for lo, hi in zip(base, base + sizes)
-    ]
+    local = np.empty_like(order)
+    local[order] = np.arange(order.size)
+    local -= base[tree_of]
+    split = feature >= 0
+    left[split] = local[left[split]]
+    right[split] = local[right[split]]
+    columns = [np.split(a[order], base[1:]) for a in (feature, threshold, left, right, value)]
+    return [RegressionTree(*tree, d) for tree in zip(*columns)]
 
 
 def fit_individual(features, targets, params: TreeParams | None = None) -> RegressionTree:
