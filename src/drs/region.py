@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import DatasetError
+
 ZERO_DISTANCE_TOL = 1e-12
 
 
@@ -59,7 +61,8 @@ def find_neighbors(x, reference_features, k: int):
     ``x`` is a block of queries (B, d); the results are (B, k). Distances
     are Euclidean, ``sqrt(((r - x) ** 2).sum())`` for each reference row r,
     returned ascending; ties break toward the lower row index, as a stable
-    argsort of each row's distances over every reference row.
+    argsort of each row's distances over every reference row. Raises
+    DatasetError when a returned distance overflows float64.
     """
     ref = np.asarray(reference_features, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -79,7 +82,8 @@ def find_neighbors(x, reference_features, k: int):
     # row whose exact distance is at most the k-th, ties after the sqrt
     # included, has its approximation within 2 * slack of the k-th
     # approximation. A row whose bound is not finite (overflow, inf or nan)
-    # keeps every reference row, so overflow here is expected, not reported.
+    # keeps every reference row, so overflow here is expected; the exact step
+    # below reports it only where it reaches a returned distance.
     with np.errstate(over="ignore", invalid="ignore"):
         ref_sq = np.einsum("ij,ij->i", ref, ref)
         x_sq = np.einsum("ij,ij->i", x, x)
@@ -106,9 +110,10 @@ def find_neighbors(x, reference_features, k: int):
         cand = columns[start : start + c * n_rows].reshape(n_rows, c)
         first += n_rows
         start += c * n_rows
-        diff = ref[cand] - x[rows, None, :]
-        diff **= 2
-        dist = np.sqrt(diff.sum(axis=-1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = ref[cand] - x[rows, None, :]
+            diff **= 2
+            dist = np.sqrt(diff.sum(axis=-1))
         # The stable argsort's first k are every distance below the k-th
         # smallest and then the lowest-index rows at it; a stable sort of
         # those k in row order gives its answer without sorting the whole row.
@@ -121,6 +126,12 @@ def find_neighbors(x, reference_features, k: int):
         picked = np.take_along_axis(picked, order, axis=1)
         nearest[rows] = np.take_along_axis(cand, picked, axis=1)
         distances[rows] = np.take_along_axis(dist, picked, axis=1)
+    if not np.isfinite(distances).all():
+        largest = max(float(np.abs(ref).max()), float(np.abs(x).max()))
+        raise DatasetError(
+            f"features reach |x| = {largest:.6g}; the neighbour distances "
+            "overflow float64, try --normalize global"
+        )
     return nearest, distances
 
 

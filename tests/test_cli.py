@@ -146,6 +146,26 @@ class TestExitCodes:
         assert "try --normalize global" in captured.err
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["predict", "inspect"])
+    def test_overflowing_feature_distances_fail(self, command, tmp_path, capsys):
+        rng = np.random.default_rng(11)
+        X, y = synthetic_dataset(rng, 40, 3)
+        data = write_csv(tmp_path / "huge.csv", X * 1e155, y)
+        if command == "predict":
+            query = write_csv(tmp_path / "query.csv", X[:3, :2] * 1.01e155, X[:3, 2] * 1.01e155)
+            argv = ["predict", "--train", str(data), "--query", str(query), "--algo", "dws"]
+        else:
+            argv = ["inspect", "--data", str(data), "--row", "0"]
+        code = main(argv + ["--members", "5", "--k", "3", "--normalize", "none"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "query" not in captured.out
+        assert re.search(
+            r"features reach \|x\| = \d\.\d+e\+15\d; the neighbour distances overflow "
+            r"float64, try --normalize global", captured.err
+        )
+
     def test_k_exceeding_training_fold(self, train_csv, capsys):
         code = main(
             ["bench", "--data", str(train_csv), "--k", "30",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import reference_find_neighbors
+from drs.datasets import DatasetError
 from drs.learners import generate_ensemble
 from drs.region import build_region, find_neighbors, inverse_distance_weights
 
@@ -132,15 +133,22 @@ def neighbor_problems(draw):
 _HUGE = np.random.default_rng(0).random((11, 2)) * 1e155
 
 
-# Both searches square differences near 1e155 and overflow to inf.
+# The full search squares differences near 1e155 and overflows to inf.
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=400, deadline=None)
 @given(neighbor_problems())
 @example((_HUGE[:3], _HUGE[3:], 5))
+# Every query is a reference row, its own nearest at distance 0: all rows
+# are kept and the one returned distance is finite.
+@example((_HUGE[3:6], _HUGE[3:], 1))
 def test_filtered_search_equals_the_full_search(problem):
     x, ref, k = problem
-    idx, dist = find_neighbors(x, ref, k)
     want_idx, want_dist = reference_find_neighbors(x, ref, k)
+    if not np.isfinite(want_dist).all():
+        with pytest.raises(DatasetError, match="overflow float64, try --normalize global"):
+            find_neighbors(x, ref, k)
+        return
+    idx, dist = find_neighbors(x, ref, k)
     assert idx.tolist() == want_idx.tolist()
     assert dist.tobytes() == want_dist.tobytes()
 
