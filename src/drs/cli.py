@@ -210,9 +210,6 @@ def cmd_bench(ns) -> int:
     folds = _resolve(ns.folds, file_values, "folds", 10, int)
     reps = _resolve(ns.reps, file_values, "reps", 3, int)
     jobs = _resolve(ns.jobs, file_values, "jobs", 1, int)
-    _require(folds >= 2, f"--folds must be >= 2 (got {folds})")
-    _require(reps >= 1, f"--reps must be >= 1 (got {reps})")
-    _require(jobs >= 1, f"--jobs must be >= 1 (got {jobs})")
     target_col = _resolve(ns.target_col, file_values, "target_col", -1, _int_or_name)
     config = RunConfig(
         data=tuple(paths),
