@@ -331,6 +331,25 @@ class TestFitTree:
         with pytest.raises(ValueError):
             TreeParams(max_depth=-1)
 
+    def test_dump_does_not_depend_on_node_ids(self):
+        # x0 <= 0.5 -> 1.0, else x1 <= -0.25 -> 2.0, else 3.0; the second
+        # tree numbers the same nodes in another order.
+        level_order = RegressionTree(
+            feature=[0, -1, 1, -1, -1], threshold=[0.5, np.nan, -0.25, np.nan, np.nan],
+            left=[1, -1, 3, -1, -1], right=[2, -1, 4, -1, -1],
+            value=[np.nan, 1.0, np.nan, 2.0, 3.0], n_features=2,
+        )
+        permuted = RegressionTree(
+            feature=[0, 1, -1, -1, -1], threshold=[0.5, -0.25, np.nan, np.nan, np.nan],
+            left=[3, 4, -1, -1, -1], right=[1, 2, -1, -1, -1],
+            value=[np.nan, np.nan, 3.0, 1.0, 2.0], n_features=2,
+        )
+        probes = np.array([[0.0, 0.0], [1.0, -1.0], [1.0, 0.0], [0.5, 9.0]])
+        assert level_order.predict(probes).tolist() == [1.0, 2.0, 3.0, 1.0]
+        assert permuted.predict(probes).tolist() == [1.0, 2.0, 3.0, 1.0]
+        want = "node 0 0.5\nleaf 1.0\nnode 1 -0.25\nleaf 2.0\nleaf 3.0"
+        assert level_order.to_text() == permuted.to_text() == want
+
     def test_individual_equals_plain_fit(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(30, 2))
