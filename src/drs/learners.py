@@ -304,6 +304,7 @@ def _grow_trees(X, y, bags, params: TreeParams) -> list[RegressionTree]:
     # Each tree keeps its nodes in the order they were grown: depth by depth,
     # root first. A child's id within its tree is its rank among the tree's nodes.
     tree_of, feature, threshold, value, left, right = map(np.concatenate, zip(*nodes_by_depth))
+    del nodes_by_depth
     order = np.argsort(tree_of, kind="stable")
     sizes = np.bincount(tree_of, minlength=n_trees)
     base = np.cumsum(sizes) - sizes
