@@ -50,10 +50,8 @@ _QUERY_CELLS = 1 << 18
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything that determines a benchmark run (data paths aside, immutable)."""
+    """Everything that determines a benchmark run over given datasets (immutable)."""
 
-    data: tuple[str, ...] = ()
-    target_column: int | str = -1
     algorithms: tuple[str, ...] = ALGORITHMS
     measures: tuple[str, ...] = MEASURE_IDS
     k: int = 10
@@ -65,7 +63,6 @@ class RunConfig:
     normalization: str = "global"
     scale: str = "1e-4"
     jobs: int = 1
-    out_dir: str = "drs-out"
 
     def __post_init__(self):
         object.__setattr__(self, "algorithms", tuple(a.lower() for a in self.algorithms))
@@ -88,6 +85,8 @@ class RunConfig:
         ]:
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.k < 2 and any(m == "m1" for _, m in self.method_keys()):
+            raise ValueError(f"m1 needs at least 2 neighbors, got k={self.k}")
         if self.folds < 2:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
         if self.normalization not in NORMALIZATION_MODES:

@@ -16,10 +16,12 @@ Three subcommands:
     Leave one row out of a dataset, fit on the rest, and print that row's
     region of competence and every member's eight competence scores.
 
-Exit codes: 0 on success, 1 for unreadable or malformed files, 2 for
-invalid arguments. Defaults follow the benchmark protocol (k=10, 100
-members, 10 folds, min-max normalization); omitting --seed uses the fixed
-documented constant so repeated runs are byte-identical.
+Every option defaults to the library's value (``RunConfig()``, its
+``TreeParams()`` and the fixed seed), so repeated runs are byte-identical.
+``drs <command> @FILE`` reads arguments from FILE, one per line, as if they
+stood in its place: a later flag wins, and its ``--data`` lines add to the
+others. Exit codes: 0 on success, 1 for unreadable or malformed files, 2
+for invalid arguments.
 """
 
 from __future__ import annotations
@@ -27,14 +29,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from pathlib import Path
+from collections import Counter
 
 import numpy as np
 
 from .bench import (
     ALGORITHMS,
-    DEFAULT_SEED,
     DYNAMIC_ALGORITHMS,
+    NORMALIZATION_MODES,
+    SCALES,
     RunConfig,
     predict_queries,
     render_table,
@@ -58,7 +61,7 @@ from .selection import ds_predict, dw_predict, dw_weights, dws_predict
 
 
 class CliArgumentError(Exception):
-    """Invalid flag or config value; reported on stderr with exit code 2."""
+    """Invalid flag value; reported on stderr with exit code 2."""
 
 
 def _require(condition: bool, message: str):
@@ -118,139 +121,63 @@ def _int_or_name(raw: str):
         return raw
 
 
-def _depth(raw: str):
-    if str(raw).strip().lower() in {"none", "unlimited"}:
-        return None
-    return int(raw)
+def _tree_params(ns) -> TreeParams:
+    max_depth = None
+    if str(ns.max_depth).strip().lower() not in {"none", "unlimited"}:
+        try:
+            max_depth = int(ns.max_depth)
+        except ValueError as exc:
+            raise CliArgumentError(f"max_depth={ns.max_depth!r}: {exc}") from None
+    return TreeParams(ns.min_parent_size, ns.min_leaf_size, max_depth)
 
 
-_CONFIG_KEYS = {
-    "data", "target_col", "algo", "measures", "k", "members", "folds",
-    "reps", "seed", "jobs", "normalize", "scale", "out",
-    "min_parent_size", "min_leaf_size", "max_depth",
-}
-
-
-def _read_config_file(path) -> dict:
-    """key=value per line; '#' starts a comment; repeated data keys accumulate."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DatasetError(f"cannot read config {path}: {exc}") from exc
-    values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CliArgumentError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, raw = line.partition("=")
-        key = key.strip().lower().replace("-", "_")
-        raw = raw.strip()
-        if key not in _CONFIG_KEYS:
-            raise CliArgumentError(f"{path}:{lineno}: unknown key {key!r}")
-        if key == "data":
-            values.setdefault("data", []).extend(
-                p.strip() for p in raw.split(",") if p.strip()
-            )
-        else:
-            values[key] = raw
-    return values
-
-
-def _resolve(flag_value, file_values: dict, key: str, default, convert=None):
-    """Flag beats config file beats built-in default; convert applies to both."""
-    if flag_value is not None:
-        raw = flag_value
-    elif key in file_values:
-        raw = file_values[key]
-    else:
-        return default
-    if convert is None:
-        return raw
-    try:
-        return convert(raw)
-    except (TypeError, ValueError) as exc:
-        raise CliArgumentError(f"{key}={raw!r}: {exc}") from None
-
-
-def _tree_params(ns, file_values) -> TreeParams:
-    kwargs = {}
-    mp = _resolve(ns.min_parent_size, file_values, "min_parent_size", None, int)
-    ml = _resolve(ns.min_leaf_size, file_values, "min_leaf_size", None, int)
-    md = _resolve(ns.max_depth, file_values, "max_depth", "unset", _depth)
-    if mp is not None:
-        kwargs["min_parent_size"] = mp
-    if ml is not None:
-        kwargs["min_leaf_size"] = ml
-    if md != "unset":
-        kwargs["max_depth"] = md
-    try:
-        return TreeParams(**kwargs)
-    except ValueError as exc:
-        raise CliArgumentError(str(exc)) from None
-
-
-def _common_ints(ns, file_values) -> dict:
-    values = {
-        "k": _resolve(ns.k, file_values, "k", 10, int),
-        "members": _resolve(ns.members, file_values, "members", 100, int),
-        "seed": _resolve(ns.seed, file_values, "seed", DEFAULT_SEED, int),
-    }
-    _require(values["k"] >= 1, f"--k must be >= 1 (got {values['k']})")
-    _require(values["members"] >= 1, f"--members must be >= 1 (got {values['members']})")
-    return values
+def _require_sizes(ns):
+    _require(ns.k >= 1, f"--k must be >= 1 (got {ns.k})")
+    _require(ns.members >= 1, f"--members must be >= 1 (got {ns.members})")
 
 
 def cmd_bench(ns) -> int:
-    file_values = _read_config_file(ns.config) if ns.config else {}
-    paths = list(ns.data or []) or list(file_values.get("data", []))
-    _require(bool(paths), "--data is required (give it on the command line or in --config)")
-    common = _common_ints(ns, file_values)
-    folds = _resolve(ns.folds, file_values, "folds", 10, int)
-    reps = _resolve(ns.reps, file_values, "reps", 3, int)
-    jobs = _resolve(ns.jobs, file_values, "jobs", 1, int)
-    target_col = _resolve(ns.target_col, file_values, "target_col", -1, _int_or_name)
+    _require(bool(ns.data), "--data is required")
+    _require_sizes(ns)
     config = RunConfig(
-        data=tuple(paths),
-        target_column=target_col,
-        algorithms=_resolve(ns.algo, file_values, "algo", ALGORITHMS, parse_algorithms),
-        measures=_resolve(ns.measures, file_values, "measures", MEASURE_IDS, parse_measures),
-        k=common["k"],
-        n_members=common["members"],
-        folds=folds,
-        replications=reps,
-        seed=common["seed"],
-        tree_params=_tree_params(ns, file_values),
-        normalization=_resolve(ns.normalize, file_values, "normalize", "global"),
-        scale=_resolve(ns.scale, file_values, "scale", "1e-4"),
-        jobs=jobs,
-        out_dir=str(_resolve(ns.out, file_values, "out", "drs-out")),
+        algorithms=parse_algorithms(ns.algo),
+        measures=parse_measures(ns.measures),
+        k=ns.k,
+        n_members=ns.members,
+        folds=ns.folds,
+        replications=ns.reps,
+        seed=ns.seed,
+        tree_params=_tree_params(ns),
+        normalization=ns.normalize,
+        scale=ns.scale,
+        jobs=ns.jobs,
     )
 
     datasets = []
-    seen = {}
-    for p in paths:
-        d = load_csv(p, config.target_column)
-        if d.name in seen:
-            seen[d.name] += 1
+    seen = Counter()
+    for p in ns.data:
+        d = load_csv(p, ns.target_col)
+        seen[d.name] += 1
+        if seen[d.name] > 1:
             d = dataclasses.replace(d, name=f"{d.name}#{seen[d.name]}")
-        else:
-            seen[d.name] = 1
         datasets.append(d)
 
     result = run_benchmark(config, datasets)
-    written = write_outputs(result, config.out_dir)
+    written = write_outputs(result, ns.out)
     sys.stdout.write(render_table(result))
-    print(f"wrote {', '.join(p.name for p in written)} to {config.out_dir}/")
+    print(f"wrote {', '.join(p.name for p in written)} to {ns.out}/")
     return 0
 
 
 def cmd_predict(ns) -> int:
-    common = _common_ints(ns, {})
+    _require_sizes(ns)
     algo = ns.algo
     measure = ns.measure
-    train = load_csv(ns.train, _int_or_name(ns.target_col) if ns.target_col is not None else -1)
+    _require(
+        not (algo in DYNAMIC_ALGORITHMS and measure == "m1" and ns.k < 2),
+        f"m1 needs at least 2 neighbors (got --k {ns.k})",
+    )
+    train = load_csv(ns.train, ns.target_col)
     query, _ = read_numeric_csv(ns.query)
     if query.shape[1] != train.n_features:
         raise DatasetError(
@@ -258,27 +185,27 @@ def cmd_predict(ns) -> int:
             f"but {ns.train} has {train.n_features}"
         )
     _require(
-        common["k"] <= train.n_instances,
-        f"--k ({common['k']}) exceeds the number of training rows ({train.n_instances})",
+        ns.k <= train.n_instances,
+        f"--k ({ns.k}) exceeds the number of training rows ({train.n_instances})",
     )
     params = None
     fitted = train
     query_x = query
-    if (ns.normalize or "global") == "global":
+    if ns.normalize == "global":
         fitted, params = normalize_minmax(train)
         query_x = apply_minmax(query, params)
-    tree_params = _tree_params(ns, {})
+    tree_params = _tree_params(ns)
 
     ensemble = individual = None
     if algo == "single":
         individual = fit_individual(fitted.features, fitted.targets, tree_params)
     else:
         ensemble = generate_ensemble(
-            fitted.features, fitted.targets, common["members"], tree_params, common["seed"],
+            fitted.features, fitted.targets, ns.members, tree_params, ns.seed,
         )
     key = (algo, measure if algo in DYNAMIC_ALGORITHMS else "")
     answers = predict_queries(
-        [key], fitted.features, fitted.targets, query_x, common["k"], ensemble, individual,
+        [key], fitted.features, fitted.targets, query_x, ns.k, ensemble, individual,
     )
     if algo == "dws":
         # The DWS note shows the first 10 survivors; one template per count shown.
@@ -314,8 +241,8 @@ def cmd_predict(ns) -> int:
 
 
 def cmd_inspect(ns) -> int:
-    common = _common_ints(ns, {})
-    data = load_csv(ns.data, _int_or_name(ns.target_col) if ns.target_col is not None else -1)
+    _require_sizes(ns)
+    data = load_csv(ns.data, ns.target_col)
     row = ns.row
     _require(
         0 <= row < data.n_instances,
@@ -324,32 +251,31 @@ def cmd_inspect(ns) -> int:
     keep = np.r_[0:row, row + 1 : data.n_instances]
     reference = data.subset(keep)
     _require(
-        common["k"] <= reference.n_instances,
-        f"--k ({common['k']}) exceeds the reference size ({reference.n_instances})",
+        ns.k <= reference.n_instances,
+        f"--k ({ns.k}) exceeds the reference size ({reference.n_instances})",
     )
     query_x = data.features[row][None]
     params = None
     fitted = reference
-    if (ns.normalize or "global") == "global":
+    if ns.normalize == "global":
         fitted, params = normalize_minmax(reference)
         query_x = apply_minmax(query_x, params)
     ensemble = generate_ensemble(
-        fitted.features, fitted.targets, common["members"],
-        _tree_params(ns, {}), common["seed"],
+        fitted.features, fitted.targets, ns.members, _tree_params(ns), ns.seed,
     )
     # The query is a block of one row; its region and scores are row 0.
     region = build_region(
         query_x, fitted.features, fitted.targets,
-        ensemble.predict_all(fitted.features), common["k"],
+        ensemble.predict_all(fitted.features), ns.k,
     )
     qp = ensemble.predict_all(query_x)[:, 0]
 
     print(f"query: row {row} of {ns.data} (target {data.targets[row]:.6f}), "
           f"reference: the other {reference.n_instances} rows")
-    print(f"ensemble: {common['members']} members, seed {common['seed']}; "
+    print(f"ensemble: {ns.members} members, seed {ns.seed}; "
           f"ensemble mean prediction "
           f"{float(denormalize_targets([qp.mean()], params)[0]) if params else qp.mean():.6f}")
-    print(f"\nregion of competence (k={common['k']}, nearest first):")
+    print(f"\nregion of competence (k={ns.k}, nearest first):")
     print("  rank  row  distance      weight    observed")
     for r in range(region.k):
         print(
@@ -377,24 +303,24 @@ def cmd_inspect(ns) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, normalize_choices):
-    parser.add_argument("--k", type=int, default=None,
-                        help="region-of-competence size (default 10)")
-    parser.add_argument("--members", type=int, default=None,
-                        help="ensemble size (default 100)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"base seed; every random draw derives from it "
-                             f"(default {DEFAULT_SEED})")
-    parser.add_argument("--target-col", default=None,
-                        help="target column: index (default -1, the last) or header name")
-    parser.add_argument("--normalize", choices=normalize_choices, default=None,
-                        help="min-max scaling of features and target (default global)")
-    parser.add_argument("--min-parent-size", type=int, default=None,
-                        help="smallest node a tree may split (default 10)")
-    parser.add_argument("--min-leaf-size", type=int, default=None,
-                        help="smallest child a split may create (default 1)")
-    parser.add_argument("--max-depth", default=None, metavar="N",
-                        help="tree depth cap: an integer or 'none' (default none)")
+def _add_common(parser: argparse.ArgumentParser, normalize_choices, config: RunConfig):
+    tree = config.tree_params
+    parser.add_argument("--k", type=int, default=config.k,
+                        help="region-of-competence size (default %(default)s)")
+    parser.add_argument("--members", type=int, default=config.n_members,
+                        help="ensemble size (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=config.seed,
+                        help="base seed; every random draw derives from it (default %(default)s)")
+    parser.add_argument("--target-col", type=_int_or_name, default=-1,
+                        help="target column index (default %(default)s, the last) or header name")
+    parser.add_argument("--normalize", choices=normalize_choices, default=config.normalization,
+                        help="min-max scaling of features and target (default %(default)s)")
+    parser.add_argument("--min-parent-size", type=int, default=tree.min_parent_size,
+                        help="smallest node a tree may split (default %(default)s)")
+    parser.add_argument("--min-leaf-size", type=int, default=tree.min_leaf_size,
+                        help="smallest child a split may create (default %(default)s)")
+    parser.add_argument("--max-depth", default=tree.max_depth, metavar="N",
+                        help="tree depth cap: an integer or 'none' (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,29 +328,31 @@ def build_parser() -> argparse.ArgumentParser:
         prog="drs",
         description="Dynamic selection, weighting, and fusion of bagged "
                     "regression-tree ensembles.",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = RunConfig()
 
     bench = sub.add_parser("bench", help="replicated cross-validation benchmark")
-    bench.add_argument("--data", action="append", default=None, metavar="CSV",
+    bench.add_argument("--data", action="append", metavar="CSV",
                        help="dataset file; repeat for several datasets")
-    bench.add_argument("--algo", default=None,
-                       help="comma list of single,mean,median,ds,dw,dws or 'all' (default all)")
-    bench.add_argument("--measures", default=None,
-                       help="comma list with ranges, e.g. 'm2,m5..m7' or 'all' (default m1..m8)")
-    bench.add_argument("--folds", type=int, default=None,
-                       help="cross-validation folds (default 10)")
-    bench.add_argument("--reps", type=int, default=None,
-                       help="replications, each with a fresh fold split (default 3)")
-    bench.add_argument("--jobs", type=int, default=None,
-                       help="worker processes; results never depend on it (default 1)")
-    bench.add_argument("--scale", choices=("1e-4", "raw"), default=None,
-                       help="table cell scale (default 1e-4)")
-    bench.add_argument("--out", default=None, metavar="DIR",
-                       help="output directory (default drs-out)")
-    bench.add_argument("--config", default=None, metavar="FILE",
-                       help="key=value file supplying any flag; flags win")
-    _add_common(bench, ("global", "fold", "none"))
+    bench.add_argument("--algo", default="all",
+                       help="comma list of single,mean,median,ds,dw,dws or 'all' "
+                            "(default %(default)s)")
+    bench.add_argument("--measures", default="all",
+                       help="comma list with ranges, e.g. 'm2,m5..m7' or 'all' "
+                            "(default %(default)s)")
+    bench.add_argument("--folds", type=int, default=config.folds,
+                       help="cross-validation folds (default %(default)s)")
+    bench.add_argument("--reps", type=int, default=config.replications,
+                       help="replications, each with a fresh fold split (default %(default)s)")
+    bench.add_argument("--jobs", type=int, default=config.jobs,
+                       help="worker processes; results never depend on it (default %(default)s)")
+    bench.add_argument("--scale", choices=SCALES, default=config.scale,
+                       help="table cell scale (default %(default)s)")
+    bench.add_argument("--out", default="drs-out", metavar="DIR",
+                       help="output directory (default %(default)s)")
+    _add_common(bench, NORMALIZATION_MODES, config)
     bench.set_defaults(func=cmd_bench)
 
     predict = sub.add_parser("predict", help="fit on one CSV, predict another")
@@ -434,11 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="feature-only rows to predict")
     predict.add_argument("--algo", default="ds",
                          choices=ALGORITHMS,
-                         help="prediction algorithm (default ds)")
+                         help="prediction algorithm (default %(default)s)")
     predict.add_argument("--measure", default="m3", type=str.lower,
                          choices=MEASURE_IDS,
-                         help="competence measure for ds/dw/dws (default m3)")
-    _add_common(predict, ("global", "none"))
+                         help="competence measure for ds/dw/dws (default %(default)s)")
+    _add_common(predict, ("global", "none"), config)
     predict.set_defaults(func=cmd_predict)
 
     inspect = sub.add_parser(
@@ -447,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     inspect.add_argument("--data", required=True, metavar="CSV", help="dataset file")
     inspect.add_argument("--row", required=True, type=int,
                          help="row to hold out and explain (0-based, data rows only)")
-    _add_common(inspect, ("global", "none"))
+    _add_common(inspect, ("global", "none"), config)
     inspect.set_defaults(func=cmd_inspect)
     return parser
 

@@ -219,12 +219,24 @@ def normalize_minmax(d: Dataset) -> tuple[Dataset, NormalizationParams]:
     the per-column parameters, so new data can be mapped the same way with
     :func:`apply_normalization` and predicted targets mapped back with
     :func:`denormalize_targets`.
+
+    Raises DatasetError for an empty dataset, or when a column's
+    ``max_c - min_c`` overflows float64, naming the first such column
+    (1-based, features then target) with its min and max.
     """
     if d.n_instances == 0:
         raise DatasetError("cannot normalize an empty dataset")
     cols = np.column_stack([d.features, d.targets])
     lo = cols.min(axis=0)
     hi = cols.max(axis=0)
+    with np.errstate(over="ignore"):
+        overflow = np.flatnonzero(~np.isfinite(hi - lo))
+    if overflow.size:
+        c = overflow[0]
+        raise DatasetError(
+            f"{d.name}: column {c + 1} runs from {lo[c]:.6g} to {hi[c]:.6g}, a range "
+            "that overflows float64; rescale it before normalizing"
+        )
     params = NormalizationParams(lo, hi)
     normalized = apply_normalization(d, params)
     return normalized, params

@@ -199,7 +199,6 @@ def test_criterion_5_protocol_determinism(tmp_path, report):
 @pytest.fixture(scope="module")
 def housing_run(tmp_path_factory):
     config = RunConfig(
-        data=("housing",),
         algorithms=("single", "mean", "median", "ds", "dw"),
         measures=("m2", "m3", "m7"),
         k=10,

@@ -116,6 +116,9 @@ class TestRunConfig:
             small_config(folds=1)
         with pytest.raises(ValueError, match="replications"):
             small_config(replications=0)
+        with pytest.raises(ValueError, match="m1 needs at least 2 neighbors"):
+            small_config(k=1, measures=("m3", "m1"))
+        assert small_config(k=1, measures=("m1",), algorithms=("mean",)).k == 1
 
     def test_rejects_bad_modes(self):
         with pytest.raises(ValueError, match="normalization"):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_dataset, write_csv
+from drs.bench import RunConfig
 from drs.cli import CliArgumentError, main, parse_algorithms, parse_measures
+from drs.datasets import load_csv
 
 BENCH_FAST = [
     "--folds", "3", "--reps", "2", "--members", "6", "--k", "3",
@@ -166,6 +168,54 @@ class TestExitCodes:
             r"float64, try --normalize global", captured.err
         )
 
+    @pytest.mark.parametrize("command", ["bench", "predict", "inspect"])
+    def test_help_shows_the_defaults(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "region-of-competence size (default 10)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["bench", "predict"])
+    def test_m1_with_one_neighbor_fails_before_fitting(
+        self, command, train_csv, query_csv, monkeypatch, capsys
+    ):
+        def too_late(*args, **kwargs):
+            raise AssertionError("the check came after loading or fitting")
+
+        monkeypatch.setattr("drs.bench.generate_ensemble", too_late)
+        monkeypatch.setattr("drs.cli.generate_ensemble", too_late)
+        if command == "bench":
+            argv = ["bench", "--data", str(train_csv), "--algo", "ds", "--measures", "m1"]
+        else:
+            monkeypatch.setattr("drs.cli.load_csv", too_late)
+            argv = ["predict", "--train", str(train_csv), "--query", str(query_csv),
+                    "--measure", "m1"]
+        assert main(argv + ["--k", "1", "--members", "4"]) == 2
+        assert "m1 needs at least 2 neighbors" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["bench", "predict"])
+    def test_overflowing_column_range_fails(self, command, tmp_path, capsys):
+        rng = np.random.default_rng(11)
+        X, y = synthetic_dataset(rng, 40, 3)
+        X[:, 1] = np.where(np.arange(40) % 2, 1.5e308, -1.5e308) * np.abs(X[:, 1])
+        data = write_csv(tmp_path / "wide.csv", X, y)
+        out = tmp_path / "out"
+        if command == "bench":
+            argv = ["bench", "--data", str(data), "--out", str(out)] + BENCH_FAST
+        else:
+            query = write_csv(tmp_path / "query.csv", X[:3, :2], X[:3, 2])
+            argv = ["predict", "--train", str(data), "--query", str(query),
+                    "--members", "4", "--k", "3"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(
+            r"wide: column 2 runs from -1\.\d+e\+308 to 1\.\d+e\+308, a range that "
+            r"overflows float64", captured.err
+        )
+        assert not (out / "results.csv").exists()
+
     def test_k_exceeding_training_fold(self, train_csv, capsys):
         code = main(
             ["bench", "--data", str(train_csv), "--k", "30",
@@ -220,37 +270,57 @@ class TestBench:
         text = (out / "results.csv").read_text()
         assert "synth," in text and "synth#2," in text
 
-    def test_config_file_supplies_flags(self, train_csv, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            f"# small run\n"
-            f"data = {train_csv}\n"
-            f"algo = mean\n"
-            f"measures = m3\n"
-            f"folds = 3\n"
-            f"reps = 1\n"
-            f"members = 4\n"
-            f"k = 0\n"
-            f"out = {tmp_path / 'cfg-out'}\n"
+    def test_argument_file_supplies_flags(self, train_csv, tmp_path, capsys):
+        args = tmp_path / "run.args"
+        out = tmp_path / "file-out"
+        args.write_text(
+            f"--data={train_csv}\n--algo=mean\n--measures=m3\n--folds=3\n"
+            f"--reps=1\n--members=4\n--k=0\n--out\n{out}\n"
         )
-        # the config's invalid k is reported when nothing overrides it
-        assert main(["bench", "--config", str(cfg)]) == 2
+        # the file's invalid k is reported when nothing overrides it
+        assert main(["bench", f"@{args}"]) == 2
         assert "--k must be >= 1" in capsys.readouterr().err
-        # a command line flag beats the config value
-        assert main(["bench", "--config", str(cfg), "--k", "3"]) == 0
-        assert (tmp_path / "cfg-out" / "results.csv").exists()
+        # a flag after the file wins, and the file's --data adds to the command line's
+        assert main(["bench", "--data", str(train_csv), f"@{args}", "--k", "3"]) == 0
+        assert "synth#2," in (out / "results.csv").read_text()
+        # every line is one argument, so a key=value line is a stray argument
+        args.write_text("learning_rate = 0.1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", f"@{args}"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: learning_rate = 0.1" in capsys.readouterr().err
 
-    def test_config_rejects_unknown_key(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("learning_rate = 0.1\n")
-        assert main(["bench", "--config", str(cfg)]) == 2
-        assert "unknown key" in capsys.readouterr().err
+    def test_defaults_are_the_librarys(self, train_csv, monkeypatch, capsys):
+        seen = {}
 
-    def test_config_rejects_non_assignment_line(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("just some words\n")
-        assert main(["bench", "--config", str(cfg)]) == 2
-        assert "expected key=value" in capsys.readouterr().err
+        def fake_run(config, datasets):
+            seen["config"] = config
+            return "result"
+
+        monkeypatch.setattr("drs.cli.run_benchmark", fake_run)
+        monkeypatch.setattr("drs.cli.write_outputs", lambda result, out: [])
+        monkeypatch.setattr("drs.cli.render_table", lambda result: "")
+        assert main(["bench", "--data", str(train_csv)]) == 0
+        assert seen["config"] == RunConfig()
+
+    def test_out_and_target_col_reach_writer_and_loader(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(7)
+        X, y = synthetic_dataset(rng, 12, 2)
+        data = write_csv(tmp_path / "named.csv", X, y, header=["a", "b", "y"])
+        seen = {}
+
+        def spy_load(path, target_column):
+            seen.setdefault("targets", []).append(target_column)
+            return load_csv(path, target_column)
+
+        monkeypatch.setattr("drs.cli.load_csv", spy_load)
+        monkeypatch.setattr("drs.cli.run_benchmark", lambda config, datasets: "result")
+        monkeypatch.setattr("drs.cli.write_outputs", lambda result, out: seen.update(out=out) or [])
+        monkeypatch.setattr("drs.cli.render_table", lambda result: "")
+        for target in ("y", "0"):
+            assert main(["bench", "--data", str(data), "--target-col", target,
+                         "--out", str(tmp_path / "o")]) == 0
+        assert seen == {"targets": ["y", 0], "out": str(tmp_path / "o")}
 
 
 class TestPredict:
@@ -338,6 +408,16 @@ class TestPredict:
         )
         assert code == 1
         assert f"{query}: {message}" in capsys.readouterr().err
+
+    def test_argument_file_matches_flags(self, train_csv, query_csv, tmp_path, capsys):
+        flags = ["--train", str(train_csv), "--query", str(query_csv), "--algo", "dws"]
+        args = tmp_path / "predict.args"
+        args.write_text("\n".join(flags) + "\n")
+        assert main(["predict"] + flags + ["--members", "6", "--k", "3"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["predict", f"@{args}", "--members", "6", "--k", "3"]) == 0
+        assert capsys.readouterr().out == expected
+        assert "kept" in expected
 
     def test_k_beyond_training_rows(self, train_csv, query_csv, capsys):
         code = main(
