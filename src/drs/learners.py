@@ -11,22 +11,28 @@ index, then lowest threshold.
 Trees grow level by level, all members of an ensemble together (as in
 SLIQ, Mehta et al. 1996, and XGBoost's depth-wise builder, Chen & Guestrin
 2016). One array holds the bag rows of every active node, each node's rows
-in bag order. The nodes of one depth are batched by size, under a fixed
-cell cap, and the purity check, the leaf mean and the split search run once
-per batch instead of once per node. Children come from a stable partition
-of their parent's rows. Each tree stores its nodes in the order they are
-grown, depth by depth from the root. The nodes, splits, thresholds and leaf
-values are a node-at-a-time builder's bit for bit; only the numbering of
-the nodes differs:
+in bag order. At each depth, the purity check and the leaf mean run once
+per group of equal-size nodes, and the split search runs on batches of
+nodes of mixed sizes, each padded to the largest node of its batch, under a
+fixed cell cap. Children come from a stable partition of their parent's
+rows. Each tree stores its nodes in the order they are grown, depth by
+depth from the root. The nodes, splits, thresholds and leaf values are a
+node-at-a-time builder's bit for bit; only the numbering of the nodes
+differs:
 
-- a batch holds nodes of one exact size, so the row-wise ``var`` and
-  ``mean`` of a batch use the same pairwise summation as 1-D calls;
+- ``var`` and ``mean`` run on groups of one exact size, so their row-wise
+  pairwise sums are those of 1-D calls;
 - ``cumsum`` adds sequentially, along any axis;
 - a node's rows are sorted per feature by (value rank, bag position), the
   order a stable sort of its bag-ordered rows gives, so tied values keep
   their order and every prefix sum is the same;
+- a padding row's sort key lies above every real key and its target is 0,
+  so it sorts after the node's real rows and leaves their prefix sums as
+  they are; each node's totals are read at its own last real row;
 - the SSE is computed only at cut positions that leave ``min_leaf_size``
-  rows on both sides, and the others would be ``inf`` and never chosen;
+  rows on both sides of the batch's largest node, with each node's own
+  right-hand count, and every cut that leaves fewer in a node is set to
+  ``inf``, as ties are, and never chosen;
 - midpoints grow with the cut position, so the lowest threshold among
   equal-SSE cuts is the first such cut's.
 """
@@ -42,8 +48,9 @@ from .datasets import DatasetError
 from .rng import derive_seed, make_rng
 
 _PURITY_TOL = 1e-12
-# Largest (feature, row) cell count of one split-search batch. It bounds the
-# batch's working arrays, and so the builder's peak memory.
+# Largest (feature, row) cell count of one split-search batch, padding rows
+# included: nodes x largest node size x features. It bounds the batch's
+# working arrays, and so the builder's peak memory.
 _BATCH_CELLS = 1 << 14
 
 
@@ -152,33 +159,38 @@ def _check_training_set(X, y):
 def _sort_keys(X):
     """Integer sort keys for the columns of X, and the values they stand for.
 
-    ``keys[f, i]`` is the rank of ``X[i, f]`` among the distinct values of
+    ``keys[f, i]`` is the rank of ``X[i, f]`` among the u distinct values of
     column f, shifted left by ``shift`` bits. A node's row position (below
     ``2**shift``) fills the low bits, so sorting a node's keys orders its
     rows by value and equal values by position, as a stable sort would.
+    ``keys[:, n]`` is the padding key ``u << shift``: a padding row's key,
+    with its position in the low bits, sorts after every real row.
     ``distinct[f, r]`` is the r-th smallest distinct value of column f.
     """
     n, d = X.shape
     shift = max(1, (n - 1).bit_length())
-    ranks = np.empty((d, n), dtype=np.int64)
+    ranks = np.empty((d, n + 1), dtype=np.int64)
     columns = []
     for f in range(d):
-        values, ranks[f] = np.unique(X[:, f], return_inverse=True)
+        values, ranks[f, :n] = np.unique(X[:, f], return_inverse=True)
         columns.append(values)
     u = max(len(v) for v in columns)
+    ranks[:, n] = u
     distinct = np.array([np.pad(v, (0, u - len(v)), mode="edge") for v in columns])
-    dtype = np.int32 if (u << shift) < 2**31 else np.int64
+    dtype = np.int32 if ((u + 1) << shift) < 2**31 else np.int64
     return (ranks << shift).astype(dtype), distinct, shift
 
 
-def _best_splits(keys, yb, distinct, shift, min_leaf):
-    """Best (feature, threshold) of each node in a batch of equal-size nodes.
+def _best_splits(keys, yb, sizes, distinct, shift, min_leaf):
+    """Best (feature, threshold) of each node in a batch of padded nodes.
 
-    ``keys`` is (d, c, m): the sort keys of the m rows of node c under
-    feature f, their positions in the low ``shift`` bits (see
-    :func:`_sort_keys`). ``yb`` is (c, m), the targets in position order,
-    with m >= 2 * min_leaf. Returns (found, feature, threshold) arrays of
-    length c; ``found`` is False where no split reduces the SSE.
+    ``keys`` is (d, c, m): the sort keys of the rows of node c under feature
+    f, their positions in the low ``shift`` bits (see :func:`_sort_keys`).
+    Node c holds ``sizes[c]`` real rows, at least 2, and padding rows up to
+    m, with m >= 2 * min_leaf; a padding row has the padding key and a
+    target of 0. ``yb`` is (c, m), the targets in position order. Returns
+    (found, feature, threshold) arrays of length c; ``found`` is False where
+    no split reduces the SSE.
     """
     c, m = yb.shape
     keys = np.sort(keys, axis=2)
@@ -188,14 +200,18 @@ def _best_splits(keys, yb, distinct, shift, min_leaf):
     csum = np.cumsum(ys, axis=2)
     csq = np.cumsum(ys * ys, axis=2)
     del ys
-    total_sum = csum[0, :, -1]
-    total_sq = csq[0, :, -1]
+    nodes = np.arange(c)
+    total_sum = csum[0, nodes, sizes - 1]
+    total_sq = csq[0, nodes, sizes - 1]
 
-    # Only cut positions that leave min_leaf rows on both sides; the rest
-    # are never chosen.
+    # Only cut positions that leave min_leaf rows on both sides of the
+    # largest node; a smaller node's cuts past sizes - min_leaf are masked
+    # with the ties below, so none is ever chosen.
     lo, hi = min_leaf - 1, m - min_leaf
     n_left = np.arange(lo + 1, hi + 1, dtype=float)
-    n_right = m - n_left
+    n_right = sizes[:, None] - n_left
+    short = n_right < min_leaf
+    n_right[short] = min_leaf  # any positive count: keeps masked cuts finite
     sum_left = csum[:, :, lo:hi]
     sq_left = csq[:, :, lo:hi]
     ts = total_sum[:, None]
@@ -206,20 +222,33 @@ def _best_splits(keys, yb, distinct, shift, min_leaf):
         - (ts - sum_left) ** 2 / n_right
     )
     del csum, csq, sum_left, sq_left
-    children_sse[ranks[:, :, lo:hi] == ranks[:, :, lo + 1 : hi + 1]] = np.inf
+    children_sse[(ranks[:, :, lo:hi] == ranks[:, :, lo + 1 : hi + 1]) | short] = np.inf
 
     col_best = children_sse.min(axis=2)
     best = col_best.min(axis=0)
-    parent_sse = total_sq - total_sum * total_sum / m
+    parent_sse = total_sq - total_sum * total_sum / sizes
     found = np.isfinite(best) & ~(parent_sse - best <= 0.0)
     feat = np.argmax(col_best == best, axis=0)
-    nodes = np.arange(c)
     # Midpoints grow with the cut position, so the lowest threshold among
-    # equal-SSE cuts is the first one.
+    # equal-SSE cuts is the first one. A node with no valid cut reads its
+    # (unused) threshold at the first cut, clamped to its real rows.
     cut = lo + np.argmax(children_sse[feat, nodes] == best[:, None], axis=1)
+    cut = np.minimum(cut, sizes - 2)
     below = distinct[feat, ranks[feat, nodes, cut]]
     above = distinct[feat, ranks[feat, nodes, cut + 1]]
     return found, feat, (below + above) / 2.0
+
+
+def _search_runs(sizes, d):
+    """Cut nodes in ascending ``sizes`` order into consecutive runs whose
+    padded cells (nodes x largest size x d) stay within ``_BATCH_CELLS``;
+    one node too large for the cap is a run of its own. Yields slices."""
+    start = 0
+    while start < sizes.size:
+        cells = np.arange(1, sizes.size - start + 1) * sizes[start:] * d
+        stop = start + max(1, int(np.searchsorted(cells, _BATCH_CELLS, side="right")))
+        yield slice(start, stop)
+        start = stop
 
 
 def _grow_trees(X, y, bags, params: TreeParams) -> list[RegressionTree]:
@@ -228,6 +257,7 @@ def _grow_trees(X, y, bags, params: TreeParams) -> list[RegressionTree]:
     d = X.shape[1]
     Xt = np.ascontiguousarray(X.T)
     keys, distinct, shift = _sort_keys(X)
+    y_padded = np.append(y, 0.0)  # row n is the padding row
 
     # The active nodes of one depth: their rows, node after node, each in
     # bag order, and each node's tree and size.
@@ -244,44 +274,57 @@ def _grow_trees(X, y, bags, params: TreeParams) -> list[RegressionTree]:
         starts = np.cumsum(sizes) - sizes
         feature = np.full(n_nodes, -1)
         threshold = np.full(n_nodes, np.nan)
-        value = np.full(n_nodes, np.nan)
+        mean = np.empty(n_nodes)
         left = np.full(n_nodes, -1)
         right = np.full(n_nodes, -1)
         splittable = params.max_depth is None or depth < params.max_depth
+
+        # Purity and leaf means per exact-size group, where the row-wise
+        # pairwise sums are those of 1-D calls.
+        by_size = np.argsort(sizes, kind="stable")
+        groups = np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1)
+        candidates = []
+        for group in groups:
+            m = int(sizes[group[0]])
+            yb = y[rows[starts[group, None] + np.arange(m)]]
+            mean[group] = yb.mean(axis=1)
+            if splittable and m >= params.min_parent_size:
+                candidates.append(group[~(np.var(yb, axis=1) < _PURITY_TOL)])
+
+        # Split search over the impure nodes in size order, padded per run.
+        if candidates:
+            candidates = np.concatenate(candidates)
+            for run in _search_runs(sizes[candidates], d):
+                nodes = candidates[run]
+                run_sizes = sizes[nodes]
+                positions = np.arange(run_sizes[-1])
+                real = positions < run_sizes[:, None]
+                node_rows = np.full(real.shape, n)
+                node_rows[real] = rows[(starts[nodes, None] + positions)[real]]
+                found, feat, thr = _best_splits(
+                    keys[:, node_rows] | positions.astype(keys.dtype),
+                    y_padded[node_rows], run_sizes, distinct, shift, params.min_leaf_size,
+                )
+                feature[nodes[found]] = feat[found]
+                threshold[nodes[found]] = thr[found]
+
+        # Children: the split nodes' rows are partitioned in runs of
+        # equal-size nodes under the cell cap, in size order, and the
+        # children are numbered in that order, a run's left children before
+        # its right ones. Each child keeps its parent's row order (a stable
+        # partition).
         child_rows, child_sizes, parents = [], [], []
         n_children = n_grown + n_nodes  # the next depth starts here
-
-        by_size = np.argsort(sizes, kind="stable")
-        cuts = np.flatnonzero(np.diff(sizes[by_size])) + 1
-        for group in np.split(by_size, cuts):
+        for group in groups:
             m = int(sizes[group[0]])
-            searched = splittable and m >= params.min_parent_size
             step = max(1, _BATCH_CELLS // (m * d))
-            positions = np.arange(m, dtype=keys.dtype)
             for lo in range(0, group.size, step):
-                nodes = group[lo : lo + step]
-                node_rows = rows[starts[nodes, None] + np.arange(m)]
-                yb = y[node_rows]
-                split = np.empty(0, dtype=np.int64)
-                if searched:
-                    impure = np.flatnonzero(~(np.var(yb, axis=1) < _PURITY_TOL))
-                    if impure.size:
-                        found, feat, thr = _best_splits(
-                            keys[:, node_rows[impure]] | positions,
-                            yb[impure], distinct, shift, params.min_leaf_size,
-                        )
-                        split, feat, thr = impure[found], feat[found], thr[found]
-                leaf = np.ones(nodes.size, dtype=bool)
-                leaf[split] = False
-                value[nodes[leaf]] = yb[leaf].mean(axis=1)
+                split = group[lo : lo + step]
+                split = split[feature[split] >= 0]
                 if not split.size:
                     continue
-
-                # Children keep their parent's row order (a stable partition).
-                split_rows = node_rows[split]
-                split = nodes[split]
-                feature[split] = feat
-                threshold[split] = thr
+                split_rows = rows[starts[split, None] + np.arange(m)]
+                feat, thr = feature[split], threshold[split]
                 go_right = Xt[feat[:, None], split_rows] > thr[:, None]
                 n_right = go_right.sum(axis=1)
                 k = split.size
@@ -292,6 +335,7 @@ def _grow_trees(X, y, bags, params: TreeParams) -> list[RegressionTree]:
                 child_sizes += [m - n_right, n_right]
                 parents += [split, split]
 
+        value = np.where(feature < 0, mean, np.nan)
         nodes_by_depth.append((tree_of, feature, threshold, value, left, right))
         if not parents:
             break
@@ -341,13 +385,13 @@ def bagging_sample(n: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """An ordered collection of fitted regressors plus its generation audit trail.
+    """An ordered collection of fitted regressors.
 
-    ``bag_indices[i]`` is the resample member ``i`` was trained on.
+    Member ``i`` was trained on the bag
+    ``bagging_sample(n, derive_seed(seed, i))`` (see :func:`generate_ensemble`).
     """
 
     members: tuple
-    bag_indices: tuple
 
     @property
     def n_members(self) -> int:
@@ -383,6 +427,5 @@ def generate_ensemble(
     y = np.asarray(targets, dtype=float)
     _check_training_set(X, y)
     n = X.shape[0]
-    bags = [bagging_sample(n, derive_seed(seed, i)) for i in range(n_members)]
-    members = _grow_trees(X, y, np.stack(bags), params or TreeParams())
-    return Ensemble(tuple(members), tuple(bags))
+    bags = np.stack([bagging_sample(n, derive_seed(seed, i)) for i in range(n_members)])
+    return Ensemble(tuple(_grow_trees(X, y, bags, params or TreeParams())))

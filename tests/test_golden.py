@@ -37,6 +37,7 @@ from conftest import DATA_DIR
 from drs.bench import RunConfig
 from drs.cli import main
 from drs.datasets import kfold_split, load_csv, normalize_minmax
+from drs import learners
 from drs.learners import fit_individual, generate_ensemble
 from drs.rng import derive_seed
 
@@ -80,10 +81,11 @@ def test_housing_results_match_golden_bytes(tmp_path, capsys):
     assert got == want, f"results.csv differs from {GOLDEN.name}: {changed[:3]}"
 
 
-def first_fold_trees_sha256() -> str:
-    """Refit fold 0 of replication 0 the way ``drs bench`` fits each fold
-    task for ``GOLDEN_ARGS`` and hash the tree dumps."""
-    config = RunConfig(n_members=25, folds=5)
+def first_fold_ensemble(n_members=25):
+    """Refit fold 0 of replication 0's ensemble the way ``drs bench`` fits
+    each fold task for ``GOLDEN_ARGS``, with ``n_members`` members; also
+    returns the fold's training set and tree parameters."""
+    config = RunConfig(n_members=n_members, folds=5)
     data, _ = normalize_minmax(load_csv(DATA_DIR / "housing.csv"))
     rep_seed = derive_seed(config.seed, 0)
     fold = kfold_split(data.n_instances, config.folds, rep_seed)[0]
@@ -92,7 +94,13 @@ def first_fold_trees_sha256() -> str:
         train.features, train.targets, config.n_members,
         config.tree_params, derive_seed(rep_seed, fold.fold_id),
     )
-    single = fit_individual(train.features, train.targets, config.tree_params)
+    return ensemble, train, config.tree_params
+
+
+def first_fold_trees_sha256() -> str:
+    """Hash the tree dumps of fold 0 of replication 0 for ``GOLDEN_ARGS``."""
+    ensemble, train, params = first_fold_ensemble()
+    single = fit_individual(train.features, train.targets, params)
     digest = hashlib.sha256()
     for tree in (*ensemble.members, single):
         digest.update((tree.to_text() + "\n").encode())
@@ -101,6 +109,18 @@ def first_fold_trees_sha256() -> str:
 
 def test_housing_first_fold_trees_match_golden_hash():
     assert first_fold_trees_sha256() == GOLDEN_TREES.read_text().strip()
+
+
+def test_batch_composition_does_not_change_the_trees(monkeypatch):
+    # A cap of 1 cell searches every node in a call of its own; 2**22 cells
+    # search each depth of this fold's 100 trees in one call.
+    def dumps():
+        return [tree.to_text() for tree in first_fold_ensemble(100)[0].members]
+
+    want = dumps()
+    for cells in (1, 2**22):
+        monkeypatch.setattr(learners, "_BATCH_CELLS", cells)
+        assert dumps() == want
 
 
 def predict_stdout_sha256(workdir: Path, algorithms=PREDICT_ALGORITHMS, flags=()) -> list[str]:

@@ -109,17 +109,24 @@ def reference_fit_tree(features, targets, params=None):
     return RegressionTree(feature, threshold, left, right, value, X.shape[1])
 
 
-def _best_splits_of(X, y, min_leaf):
-    """The batched split kernel on the nodes X (c, m, d) with targets y (c, m)."""
-    c, m, d = X.shape
-    keys, distinct, shift = _sort_keys(X.reshape(c * m, d))
-    keys = keys.reshape(d, c, m) | np.arange(m, dtype=keys.dtype)
-    return _best_splits(keys, y, distinct, shift, min_leaf)
+def _best_splits_of(nodes, min_leaf):
+    """The batched split kernel on one batch of ``nodes``, a list of
+    (X (m, d), y (m,)) pairs of any sizes m >= 2, each padded to the largest,
+    which must have at least 2 * min_leaf rows."""
+    sizes = np.array([y.size for _, y in nodes])
+    keys, distinct, shift = _sort_keys(np.concatenate([X for X, _ in nodes]))
+    positions = np.arange(sizes.max())
+    real = positions < sizes[:, None]
+    starts = np.cumsum(sizes) - sizes
+    rows = np.where(real, starts[:, None] + positions, sizes.sum())  # the padding row
+    y_padded = np.append(np.concatenate([y for _, y in nodes]), 0.0)
+    keys = keys[:, rows] | positions.astype(keys.dtype)
+    return _best_splits(keys, y_padded[rows], sizes, distinct, shift, min_leaf)
 
 
 def _best_split(X, y, min_leaf):
     """The batched split kernel on a batch of one node."""
-    found, feat, thr = _best_splits_of(X[None], y[None], min_leaf)
+    found, feat, thr = _best_splits_of([(X, y)], min_leaf)
     return (int(feat[0]), float(thr[0])) if found[0] else None
 
 
@@ -207,7 +214,7 @@ class TestBestSplit:
             min_leaf = int(rng.integers(1, m // 2 + 1))
             X = rng.integers(0, 4, size=(c, m, d)).astype(float)
             y = rng.integers(0, 3, size=(c, m)).astype(float)
-            found, feat, thr = _best_splits_of(X, y, min_leaf)
+            found, feat, thr = _best_splits_of(list(zip(X, y)), min_leaf)
             for i in range(c):
                 want = reference_best_split(X[i], y[i], min_leaf)
                 got = (int(feat[i]), float(thr[i])) if found[i] else None
@@ -239,6 +246,50 @@ class TestBestSplit:
                 rm = y[~go_left].mean()
                 got_sse = float(((y[go_left] - lm) ** 2).sum() + ((y[~go_left] - rm) ** 2).sum())
                 assert got_sse <= want_sse + 1e-9
+
+
+@st.composite
+def padded_batches(draw):
+    """One batch of nodes of different sizes over a few distinct values (so
+    duplicated values and tied targets): a node of exactly 2 * min_leaf
+    rows, a node of over twice that, so the first is mostly padding, and up
+    to four more of 2 to 40 rows, some too small for any valid cut."""
+    min_leaf = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 3))
+    sizes = [2 * min_leaf, draw(st.integers(4 * min_leaf + 1, 4 * min_leaf + 30))]
+    sizes += draw(st.lists(st.integers(2, 40), max_size=4))
+    sizes = draw(st.permutations(sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nodes = [
+        (rng.integers(0, 5, size=(m, d)).astype(float), np.round(rng.normal(size=m), 1))
+        for m in sizes
+    ]
+    return nodes, min_leaf
+
+
+class TestPaddedBatch:
+    @settings(max_examples=100, deadline=None)
+    @given(padded_batches())
+    def test_each_node_gets_its_reference_split(self, batch):
+        nodes, min_leaf = batch
+        found, feat, thr = _best_splits_of(nodes, min_leaf)
+        for i, (X, y) in enumerate(nodes):
+            got = (int(feat[i]), float(thr[i])) if found[i] else None
+            assert got == reference_best_split(X, y, min_leaf)
+
+    def test_padding_key_widens_keys_at_the_int32_edge(self):
+        # 2**16 rows give shift 16. With u = 32,767 distinct values the
+        # padding key u << 16 fits int32, but a padding row's key with its
+        # position can reach (u + 1) << 16 = 2**31, so the keys are int64.
+        n = 2**16
+        keys, distinct, shift = _sort_keys((np.arange(n) % 32767.0)[:, None])
+        assert (shift, distinct.shape) == (16, (1, 32767))
+        assert keys.dtype == np.int64
+        assert keys[0, n] == 32767 << 16
+        assert keys[0, :n].max() == 32766 << 16
+        keys, _, _ = _sort_keys((np.arange(n) % 32766.0)[:, None])
+        assert keys.dtype == np.int32
+        assert keys[0, n] == 32766 << 16
 
 
 class TestFitTree:
@@ -388,7 +439,8 @@ class TestLevelWiseBuilder:
     def test_trees_equal_the_reference_builder(self, problem, n_members):
         X, y, params, seed = problem
         ens = generate_ensemble(X, y, n_members, params, seed)
-        for bag, member in zip(ens.bag_indices, ens.members):
+        for i, member in enumerate(ens.members):
+            bag = bagging_sample(len(y), derive_seed(seed, i))
             assert member.to_text() == reference_fit_tree(X[bag], y[bag], params).to_text()
         assert fit_individual(X, y, params).to_text() == reference_fit_tree(X, y, params).to_text()
 
@@ -439,15 +491,16 @@ class TestEnsemble:
     def test_member_count_and_bag_indices(self):
         X, y = self._data()
         ens = generate_ensemble(X, y, 5, seed=1)
-        assert ens.n_members == 5
-        assert len(ens.bag_indices) == 5
-        for bag in ens.bag_indices:
+        assert ens.n_members == len(ens.members) == 5
+        bags = [bagging_sample(len(y), derive_seed(1, i)) for i in range(5)]
+        for bag in bags:
             assert len(bag) == len(y)
+        assert any(not np.array_equal(bags[0], bag) for bag in bags[1:])
 
     def test_member_reproducible_from_its_bag(self):
         X, y = self._data()
         ens = generate_ensemble(X, y, 4, seed=9)
-        bag = np.asarray(ens.bag_indices[2])
+        bag = bagging_sample(len(y), derive_seed(9, 2))
         refit = fit_individual(X[bag], y[bag])
         probes = X[:15] - 0.02
         assert np.array_equal(refit.predict(probes), ens.members[2].predict(probes))
