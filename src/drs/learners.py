@@ -283,30 +283,29 @@ def _grow_trees(X, y, bags, params: TreeParams) -> list[RegressionTree]:
         # pairwise sums are those of 1-D calls.
         by_size = np.argsort(sizes, kind="stable")
         groups = np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1)
-        candidates = []
+        impure = [np.empty(0, dtype=np.int64)]
         for group in groups:
             m = int(sizes[group[0]])
             yb = y[rows[starts[group, None] + np.arange(m)]]
             mean[group] = yb.mean(axis=1)
             if splittable and m >= params.min_parent_size:
-                candidates.append(group[~(np.var(yb, axis=1) < _PURITY_TOL)])
+                impure.append(group[~(np.var(yb, axis=1) < _PURITY_TOL)])
 
         # Split search over the impure nodes in size order, padded per run.
-        if candidates:
-            candidates = np.concatenate(candidates)
-            for run in _search_runs(sizes[candidates], d):
-                nodes = candidates[run]
-                run_sizes = sizes[nodes]
-                positions = np.arange(run_sizes[-1])
-                real = positions < run_sizes[:, None]
-                node_rows = np.full(real.shape, n)
-                node_rows[real] = rows[(starts[nodes, None] + positions)[real]]
-                found, feat, thr = _best_splits(
-                    keys[:, node_rows] | positions.astype(keys.dtype),
-                    y_padded[node_rows], run_sizes, distinct, shift, params.min_leaf_size,
-                )
-                feature[nodes[found]] = feat[found]
-                threshold[nodes[found]] = thr[found]
+        impure = np.concatenate(impure)
+        for run in _search_runs(sizes[impure], d):
+            nodes = impure[run]
+            run_sizes = sizes[nodes]
+            positions = np.arange(run_sizes[-1])
+            real = positions < run_sizes[:, None]
+            node_rows = np.full(real.shape, n)
+            node_rows[real] = rows[(starts[nodes, None] + positions)[real]]
+            found, feat, thr = _best_splits(
+                keys[:, node_rows] | positions.astype(keys.dtype),
+                y_padded[node_rows], run_sizes, distinct, shift, params.min_leaf_size,
+            )
+            feature[nodes[found]] = feat[found]
+            threshold[nodes[found]] = thr[found]
 
         # Children: the split nodes' rows are partitioned in runs of
         # equal-size nodes under the cell cap, in size order, and the

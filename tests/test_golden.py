@@ -34,10 +34,10 @@ import io
 from pathlib import Path
 
 from conftest import DATA_DIR
+from drs import learners
 from drs.bench import RunConfig
 from drs.cli import main
 from drs.datasets import kfold_split, load_csv, normalize_minmax
-from drs import learners
 from drs.learners import fit_individual, generate_ensemble
 from drs.rng import derive_seed
 

@@ -279,8 +279,9 @@ class TestPaddedBatch:
 
     def test_padding_key_widens_keys_at_the_int32_edge(self):
         # 2**16 rows give shift 16. With u = 32,767 distinct values the
-        # padding key u << 16 fits int32, but a padding row's key with its
-        # position can reach (u + 1) << 16 = 2**31, so the keys are int64.
+        # padding key u << 16 fits int32, but the bound on a padding row's
+        # key with its position, (u + 1) << 16 = 2**31, does not, so the
+        # keys are int64.
         n = 2**16
         keys, distinct, shift = _sort_keys((np.arange(n) % 32767.0)[:, None])
         assert (shift, distinct.shape) == (16, (1, 32767))
