@@ -14,11 +14,11 @@ SLIQ, Mehta et al. 1996, and XGBoost's depth-wise builder, Chen & Guestrin
 in bag order. At each depth, the purity check and the leaf mean run once
 per group of equal-size nodes, and the split search runs on batches of
 nodes of mixed sizes, each padded to the largest node of its batch, under a
-fixed cell cap. Children come from a stable partition of their parent's
-rows. Each tree stores its nodes in the order they are grown, depth by
-depth from the root. The nodes, splits, thresholds and leaf values are a
-node-at-a-time builder's bit for bit; only the numbering of the nodes
-differs:
+fixed cell cap. One stable partition of the split nodes' rows per depth
+makes the children, each in its parent's row order. Each tree numbers its
+nodes breadth first from the root, left child before right. The nodes,
+splits, thresholds and leaf values are a node-at-a-time builder's bit for
+bit:
 
 - ``var`` and ``mean`` run on groups of one exact size, so their row-wise
   pairwise sums are those of 1-D calls;
@@ -49,8 +49,8 @@ from .rng import derive_seed, make_rng
 
 _PURITY_TOL = 1e-12
 # Largest (feature, row) cell count of one split-search batch, padding rows
-# included: nodes x largest node size x features. It bounds the batch's
-# working arrays, and so the builder's peak memory.
+# included: nodes x largest node size x features. It bounds the split
+# search's working arrays only; it changes no tree and no node id.
 _BATCH_CELLS = 1 << 14
 
 
@@ -255,7 +255,6 @@ def _grow_trees(X, y, bags, params: TreeParams) -> list[RegressionTree]:
     """Fit one tree per row of ``bags`` (row indices into X and y), level by level."""
     n_trees, n = bags.shape
     d = X.shape[1]
-    Xt = np.ascontiguousarray(X.T)
     keys, distinct, shift = _sort_keys(X)
     y_padded = np.append(y, 0.0)  # row n is the padding row
 
@@ -307,45 +306,29 @@ def _grow_trees(X, y, bags, params: TreeParams) -> list[RegressionTree]:
             feature[nodes[found]] = feat[found]
             threshold[nodes[found]] = thr[found]
 
-        # Children: the split nodes' rows are partitioned in runs of
-        # equal-size nodes under the cell cap, in size order, and the
-        # children are numbered in that order, a run's left children before
-        # its right ones. Each child keeps its parent's row order (a stable
-        # partition).
-        child_rows, child_sizes, parents = [], [], []
-        n_children = n_grown + n_nodes  # the next depth starts here
-        for group in groups:
-            m = int(sizes[group[0]])
-            step = max(1, _BATCH_CELLS // (m * d))
-            for lo in range(0, group.size, step):
-                split = group[lo : lo + step]
-                split = split[feature[split] >= 0]
-                if not split.size:
-                    continue
-                split_rows = rows[starts[split, None] + np.arange(m)]
-                feat, thr = feature[split], threshold[split]
-                go_right = Xt[feat[:, None], split_rows] > thr[:, None]
-                n_right = go_right.sum(axis=1)
-                k = split.size
-                left[split] = n_children + np.arange(k)
-                right[split] = n_children + k + np.arange(k)
-                n_children += 2 * k
-                child_rows += [split_rows[~go_right], split_rows[go_right]]
-                child_sizes += [m - n_right, n_right]
-                parents += [split, split]
-
+        # Children: split node j's are 2j (left) and 2j + 1 (right) of the
+        # next depth, numbered from n_grown + n_nodes. A stable sort of the
+        # split nodes' rows by child gives each child its parent's row order.
+        split = np.flatnonzero(feature >= 0)
+        left[split] = n_grown + n_nodes + 2 * np.arange(split.size)
+        right[split] = left[split] + 1
         value = np.where(feature < 0, mean, np.nan)
         nodes_by_depth.append((tree_of, feature, threshold, value, left, right))
-        if not parents:
+        if not split.size:
             break
-        tree_of = tree_of[np.concatenate(parents)]
-        sizes = np.concatenate(child_sizes)
-        rows = np.concatenate(child_rows)
+        rows = rows[np.repeat(feature >= 0, sizes)]
+        sizes = sizes[split]
+        key = np.repeat(2 * np.arange(split.size), sizes)
+        key += X[rows, np.repeat(feature[split], sizes)] > np.repeat(threshold[split], sizes)
+        rows = rows[np.argsort(key, kind="stable")]
+        sizes = np.bincount(key, minlength=2 * split.size)
+        tree_of = np.repeat(tree_of[split], 2)
         n_grown += n_nodes
         depth += 1
 
-    # Each tree keeps its nodes in the order they were grown: depth by depth,
-    # root first. A child's id within its tree is its rank among the tree's nodes.
+    # Each depth holds every tree's nodes in breadth-first order, left child
+    # before right, so a stable sort by tree numbers each tree breadth first.
+    # A child's id within its tree is its rank among the tree's nodes.
     tree_of, feature, threshold, value, left, right = map(np.concatenate, zip(*nodes_by_depth))
     del nodes_by_depth
     order = np.argsort(tree_of, kind="stable")

@@ -113,14 +113,19 @@ def test_housing_first_fold_trees_match_golden_hash():
 
 def test_batch_composition_does_not_change_the_trees(monkeypatch):
     # A cap of 1 cell searches every node in a call of its own; 2**22 cells
-    # search each depth of this fold's 100 trees in one call.
-    def dumps():
-        return [tree.to_text() for tree in first_fold_ensemble(100)[0].members]
+    # search each depth of this fold's 100 trees in one call. The node
+    # arrays, ids included, must keep every bit too.
+    def trees():
+        fields = ("feature", "threshold", "left", "right", "value")
+        return [
+            (tree.to_text(), *(getattr(tree, f).tobytes() for f in fields))
+            for tree in first_fold_ensemble(100)[0].members
+        ]
 
-    want = dumps()
+    want = trees()
     for cells in (1, 2**22):
         monkeypatch.setattr(learners, "_BATCH_CELLS", cells)
-        assert dumps() == want
+        assert trees() == want
 
 
 def predict_stdout_sha256(workdir: Path, algorithms=PREDICT_ALGORITHMS, flags=()) -> list[str]:

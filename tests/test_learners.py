@@ -445,6 +445,21 @@ class TestLevelWiseBuilder:
             assert member.to_text() == reference_fit_tree(X[bag], y[bag], params).to_text()
         assert fit_individual(X, y, params).to_text() == reference_fit_tree(X, y, params).to_text()
 
+    @settings(max_examples=40, deadline=None)
+    @given(tree_problems(), st.integers(1, 4))
+    def test_nodes_are_numbered_breadth_first(self, problem, n_members):
+        X, y, params, seed = problem
+        trees = [*generate_ensemble(X, y, n_members, params, seed).members]
+        trees.append(fit_individual(X, y, params))
+        for tree in trees:
+            visited, queue = [], [0]
+            while queue:
+                node = queue.pop(0)
+                visited.append(node)
+                if tree.feature[node] >= 0:
+                    queue += [int(tree.left[node]), int(tree.right[node])]
+            assert visited == list(range(tree.n_nodes))
+
 
 class TestBagging:
     def test_sample_shape_and_range(self):
