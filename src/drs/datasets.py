@@ -115,7 +115,9 @@ def read_numeric_csv(path) -> tuple[np.ndarray, list[str] | None]:
     """
     path = Path(path)
     try:
-        with open(path, newline="") as fh:
+        # utf-8-sig drops a leading byte-order mark, which would otherwise
+        # stick to the first cell.
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [r for r in csv.reader(fh) if r]  # drop blank lines
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc

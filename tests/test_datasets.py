@@ -119,6 +119,20 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="two columns"):
             load_csv(p)
 
+    def test_byte_order_mark_before_a_data_row(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_text("\ufeff1.0,2.0,3.0\n4.0,5.0,6.0\n7.0,8.0,9.0\n", encoding="utf-8")
+        values, header = read_numeric_csv(p)
+        assert header is None
+        assert values.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
+
+    def test_byte_order_mark_before_a_header(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_text("\ufeffy,a,b\n9,1,2\n", encoding="utf-8")
+        d = load_csv(p, target_column="y")
+        assert d.targets.tolist() == [9.0]
+        assert d.features.tolist() == [[1.0, 2.0]]
+
     def test_housing_shape(self):
         d = load_csv(DATA_DIR / "housing.csv")
         assert (d.n_instances, d.n_features) == (506, 13)
