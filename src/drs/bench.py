@@ -459,8 +459,10 @@ def render_table(result: RunResult) -> str:
 
 
 def write_outputs(result: RunResult, out_dir) -> list[Path]:
-    """Write results.csv, wtl.csv, diff_m7.csv, table.txt, and (when the run
-    tracked it) agreement_m3_m7.csv. Returns the paths written."""
+    """Write results.csv, wtl.csv, diff_m7.csv (when the run has m7),
+    table.txt, and agreement_m3_m7.csv (when the run tracked it). An optional
+    file this run does not write is removed, so none is left from an earlier
+    run into the same directory. Returns the paths written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     config = result.config
@@ -486,17 +488,19 @@ def write_outputs(result: RunResult, out_dir) -> list[Path]:
     written.append(path)
 
     diffs = diff_vs_m7(result)
+    path = out / "diff_m7.csv"
     if diffs:
-        path = out / "diff_m7.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["dataset", "algorithm", "best_measure", "m7_minus_best"])
             for row in diffs:
                 writer.writerow(list(row))
         written.append(path)
+    else:
+        path.unlink(missing_ok=True)
 
+    path = out / "agreement_m3_m7.csv"
     if result.agreement:
-        path = out / "agreement_m3_m7.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["dataset", "replication", "ds_winner_agreement"])
@@ -504,6 +508,8 @@ def write_outputs(result: RunResult, out_dir) -> list[Path]:
                 for rep, rate in enumerate(result.agreement[name]):
                     writer.writerow([name, rep, repr(rate)])
         written.append(path)
+    else:
+        path.unlink(missing_ok=True)
 
     path = out / "table.txt"
     path.write_text(render_table(result))

@@ -409,6 +409,15 @@ class TestReports:
             assert float(row["mse_mean"]) == stats[key][0]  # repr round-trips exactly
             assert row["scale"] == "1e-4"
 
+    def test_rerun_removes_optional_files_it_does_not_write(self, tmp_path):
+        out = tmp_path / "out"
+        first = run_benchmark(small_config(measures=("m3", "m7")), [small_dataset()])
+        assert {"diff_m7.csv", "agreement_m3_m7.csv"} <= {p.name for p in write_outputs(first, out)}
+        second = run_benchmark(small_config(measures=("m2",)), [small_dataset()])
+        written = write_outputs(second, out)
+        assert sorted(out.iterdir()) == sorted(written)
+        assert {p.name for p in written} == {"results.csv", "wtl.csv", "table.txt"}
+
     def test_no_diff_file_without_m7(self, tmp_path):
         config = small_config(measures=("m2", "m3"))
         result = run_benchmark(config, [small_dataset()])
