@@ -39,6 +39,7 @@ bit:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -104,20 +105,15 @@ class RegressionTree:
         return int(np.sum(self.feature < 0))
 
     def predict(self, X):
-        """Predict a batch of samples (n, d); returns the (n,) predictions."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValueError(
-                f"expected (n, {self.n_features}) features, got shape {X.shape}"
-            )
-        idx = np.zeros(X.shape[0], dtype=np.int64)
-        active = np.flatnonzero(self.feature[idx] >= 0)
-        while active.size:
-            cur = idx[active]
-            go_left = X[active, self.feature[cur]] <= self.threshold[cur]
-            idx[active] = np.where(go_left, self.left[cur], self.right[cur])
-            active = active[self.feature[idx[active]] >= 0]
-        return self.value[idx]
+        """Predict a batch of samples (n, d); returns the (n,) predictions.
+
+        The one-tree case of :meth:`Ensemble.predict_all`'s walk.
+        """
+        return _walk(self._table, self.n_features, X)[0]
+
+    @functools.cached_property
+    def _table(self):
+        return _node_table([self])
 
     def to_text(self) -> str:
         """Line-oriented audit dump: one node per line, in preorder from the root.
@@ -138,6 +134,64 @@ class RegressionTree:
                 lines.append(f"node {int(self.feature[i])} {float(self.threshold[i])!r}")
                 stack += [self.right[i], self.left[i]]
         return "\n".join(lines)
+
+
+def _node_table(trees):
+    """The nodes of ``trees`` in one flat table, for :func:`_walk`.
+
+    Returns (roots, feature, threshold, children, value, depth). Tree t's
+    root is node ``roots[t]``; node i's left and right children are
+    ``children[2i]`` and ``children[2i + 1]``, ids into the table. A leaf
+    reads feature 0 and is both its own children, so a walk of ``depth``
+    steps, the deepest tree's, leaves every row at its leaf.
+    """
+    sizes = [tree.n_nodes for tree in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    feature, threshold, left, right, value = (
+        np.concatenate([getattr(tree, name) for tree in trees])
+        for name in ("feature", "threshold", "left", "right", "value")
+    )
+    inner = feature >= 0
+    offset = np.repeat(roots, sizes)
+    ids = np.arange(feature.size)
+    children = np.where(inner, np.stack([left, right]) + offset, ids).T.ravel()
+    depth = 0
+    level = roots[inner[roots]]
+    while level.size:
+        depth += 1
+        level = children.reshape(-1, 2)[level].ravel()
+        level = level[inner[level]]
+    return roots, np.where(inner, feature, 0), threshold, children, value, depth
+
+
+def _walk(table, n_features, X):
+    """Route every row of X through every tree of a :func:`_node_table`.
+
+    A row goes left where ``x[feature] <= threshold``, so NaN goes right.
+    Returns the (trees, n) leaf values reached. Rows are walked in chunks
+    of at most ``_BATCH_CELLS`` (tree, row) cells, so the index arrays stay
+    small for any n.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise ValueError(f"expected (n, {n_features}) features, got shape {X.shape}")
+    roots, feature, threshold, children, value, depth = table
+    n, d = X.shape
+    out = np.empty((len(roots), n))
+    step = max(1, _BATCH_CELLS // len(roots))
+    for start in range(0, n, step):
+        rows = X[start : start + step]
+        m = len(rows)
+        x = rows.ravel()
+        # One cell per (tree, row), tree-major: its node, and its row's
+        # offset in x.
+        node = np.repeat(roots, m)
+        offset = np.tile(np.arange(m) * d, len(roots))
+        for _ in range(depth):
+            go_right = ~(x[offset + feature[node]] <= threshold[node])
+            node = children[2 * node + go_right]
+        out[:, start : start + m] = value[node].reshape(len(roots), m)
+    return out
 
 
 def _check_training_set(X, y):
@@ -375,14 +429,23 @@ class Ensemble:
 
     members: tuple
 
+    @functools.cached_property
+    def _table(self):
+        return _node_table(self.members)
+
     @property
     def n_members(self) -> int:
         return len(self.members)
 
     def predict_all(self, X) -> np.ndarray:
-        """(n_members, n_samples) matrix of every member's predictions on X (n_samples, d)."""
-        X = np.asarray(X, dtype=float)
-        return np.vstack([m.predict(X) for m in self.members])
+        """(n_members, n_samples) matrix of every member's predictions on X (n_samples, d).
+
+        All members walk together through one node table built with the
+        ensemble; each entry is the leaf value that member's tree reaches,
+        exactly as :meth:`RegressionTree.predict` gives it. Raises
+        ValueError when X does not have the members' feature count.
+        """
+        return _walk(self._table, self.members[0].n_features, X)
 
 
 def generate_ensemble(

@@ -1,11 +1,15 @@
 """Tree fitting, prediction, bagging, and ensemble generation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drs import learners
 from drs.learners import (
     _PURITY_TOL,
+    Ensemble,
     RegressionTree,
     TreeParams,
     _best_splits,
@@ -107,6 +111,35 @@ def reference_fit_tree(features, targets, params=None):
         stack.append((left[node], idx[go_left], depth + 1))
 
     return RegressionTree(feature, threshold, left, right, value, X.shape[1])
+
+
+def reference_predict(tree, X):
+    """One tree's walk, all rows together, the reference for the ensemble
+    walk: the rows still at an internal node step down one level at a time,
+    left where ``x[feature] <= threshold``."""
+    X = np.asarray(X, dtype=float)
+    idx = np.zeros(X.shape[0], dtype=np.int64)
+    active = np.flatnonzero(tree.feature[idx] >= 0)
+    while active.size:
+        cur = idx[active]
+        go_left = X[active, tree.feature[cur]] <= tree.threshold[cur]
+        idx[active] = np.where(go_left, tree.left[cur], tree.right[cur])
+        active = active[tree.feature[idx[active]] >= 0]
+    return tree.value[idx]
+
+
+# x0 <= 0.5 -> 1.0, else x1 <= -0.25 -> 2.0, else 3.0, numbered breadth
+# first and in another order.
+LEVEL_ORDER_TREE = RegressionTree(
+    feature=[0, -1, 1, -1, -1], threshold=[0.5, np.nan, -0.25, np.nan, np.nan],
+    left=[1, -1, 3, -1, -1], right=[2, -1, 4, -1, -1],
+    value=[np.nan, 1.0, np.nan, 2.0, 3.0], n_features=2,
+)
+PERMUTED_TREE = RegressionTree(
+    feature=[0, 1, -1, -1, -1], threshold=[0.5, -0.25, np.nan, np.nan, np.nan],
+    left=[3, 4, -1, -1, -1], right=[1, 2, -1, -1, -1],
+    value=[np.nan, np.nan, 3.0, 1.0, 2.0], n_features=2,
+)
 
 
 def _best_splits_of(nodes, min_leaf):
@@ -384,18 +417,7 @@ class TestFitTree:
             TreeParams(max_depth=-1)
 
     def test_dump_does_not_depend_on_node_ids(self):
-        # x0 <= 0.5 -> 1.0, else x1 <= -0.25 -> 2.0, else 3.0; the second
-        # tree numbers the same nodes in another order.
-        level_order = RegressionTree(
-            feature=[0, -1, 1, -1, -1], threshold=[0.5, np.nan, -0.25, np.nan, np.nan],
-            left=[1, -1, 3, -1, -1], right=[2, -1, 4, -1, -1],
-            value=[np.nan, 1.0, np.nan, 2.0, 3.0], n_features=2,
-        )
-        permuted = RegressionTree(
-            feature=[0, 1, -1, -1, -1], threshold=[0.5, -0.25, np.nan, np.nan, np.nan],
-            left=[3, 4, -1, -1, -1], right=[1, 2, -1, -1, -1],
-            value=[np.nan, np.nan, 3.0, 1.0, 2.0], n_features=2,
-        )
+        level_order, permuted = LEVEL_ORDER_TREE, PERMUTED_TREE
         probes = np.array([[0.0, 0.0], [1.0, -1.0], [1.0, 0.0], [0.5, 9.0]])
         assert level_order.predict(probes).tolist() == [1.0, 2.0, 3.0, 1.0]
         assert permuted.predict(probes).tolist() == [1.0, 2.0, 3.0, 1.0]
@@ -459,6 +481,57 @@ class TestLevelWiseBuilder:
                 if tree.feature[node] >= 0:
                     queue += [int(tree.left[node]), int(tree.right[node])]
             assert visited == list(range(tree.n_nodes))
+
+
+@st.composite
+def walk_problems(draw):
+    """Trees and probe rows. The trees are an ensemble's, grown breadth
+    first, sometimes with the node-at-a-time reference tree (numbered depth
+    first) beside them, or the two hand-built trees. Probe cells are the
+    trees' thresholds, training values, +-inf, NaN and other floats."""
+    if draw(st.booleans()):
+        X, y, params, seed = draw(tree_problems())
+        trees = list(generate_ensemble(X, y, draw(st.integers(1, 4)), params, seed).members)
+        if draw(st.booleans()):
+            trees.append(reference_fit_tree(X, y, params))
+        seen = X.ravel().tolist()
+    else:
+        trees, seen = [LEVEL_ORDER_TREE, PERMUTED_TREE], []
+    d = trees[0].n_features
+    thresholds = [float(t.threshold[i]) for t in trees for i in np.flatnonzero(t.feature >= 0)]
+    cells = st.one_of(
+        st.sampled_from(thresholds + seen + [np.inf, -np.inf, np.nan]),
+        st.floats(-10.0, 10.0),
+    )
+    n = draw(st.integers(0, 30))
+    probes = np.array(draw(st.lists(cells, min_size=n * d, max_size=n * d)), dtype=float)
+    return trees, probes.reshape(n, d)
+
+
+class TestWalk:
+    @settings(max_examples=80, deadline=None)
+    @given(walk_problems(), st.sampled_from([1, 3, learners._BATCH_CELLS, 2**22]))
+    def test_walk_equals_the_reference_walk(self, problem, cells):
+        trees, probes = problem
+        want = [reference_predict(tree, probes) for tree in trees]
+        with mock.patch.object(learners, "_BATCH_CELLS", cells):
+            every = Ensemble(tuple(trees)).predict_all(probes)
+            alone = [tree.predict(probes) for tree in trees]
+        assert every.shape == (len(trees), len(probes))
+        assert every.tobytes() == np.array(want).tobytes()
+        for got, row in zip(alone, want):
+            assert got.tobytes() == row.tobytes()
+
+    def test_nan_goes_right_and_a_threshold_left(self):
+        probes = np.array([[np.nan, 0.0], [0.5, np.nan], [1.0, -0.25], [np.inf, np.nan]])
+        for tree in (LEVEL_ORDER_TREE, PERMUTED_TREE):
+            assert tree.predict(probes).tolist() == [3.0, 1.0, 2.0, 3.0]
+
+    def test_predict_all_rejects_a_wrong_feature_count(self):
+        ens = Ensemble((LEVEL_ORDER_TREE, PERMUTED_TREE))
+        for bad in (np.zeros((2, 1)), np.zeros((2, 3)), np.zeros(2)):
+            with pytest.raises(ValueError, match=r"expected \(n, 2\) features"):
+                ens.predict_all(bad)
 
 
 class TestBagging:
