@@ -3,12 +3,16 @@
 Neighbor search is exact, with Euclidean distance; the training folds this
 library targets are small enough that an index would buy nothing, and
 exactness keeps the competence scores auditable. It runs in two steps. A
-filter computes approximate squared distances, |x|^2 + |r|^2 - 2 x.r, with
-one matrix product per block, and keeps as candidates the reference rows
-within a rigorous rounding bound of each query's k-th approximate value
-(Higham, Accuracy and Stability of Numerical Algorithms, 2002, section
-3.1). The exact distances are then computed on the candidates alone, so
-indices and distances match a search over every reference row bit for bit.
+filter computes approximate squared distances, |x|^2 + |r|^2 - 2 x.r, and
+keeps as candidates the reference rows within a rigorous rounding bound of
+each query's k-th approximate value (Higham, Accuracy and Stability of
+Numerical Algorithms, 2002, section 3.1). The x.r come from matrix products
+over chunks of the block's rows, each of at most 2^18 multiply-adds:
+products that small run on the calling thread, where a larger one wakes a
+BLAS helper thread that then spins between blocks. The bound holds for any
+summation order, so the chunks change no candidate. The exact distances are
+then computed on the candidates alone, so indices and distances match a
+search over every reference row bit for bit.
 Each neighbor also carries a normalized inverse-distance weight: nearer
 neighbors count more, and the weights sum to one.
 
@@ -26,6 +30,9 @@ import numpy as np
 from .datasets import DatasetError
 
 ZERO_DISTANCE_TOL = 1e-12
+# Largest multiply-add count of one product in the neighbour filter,
+# (query rows) x (reference rows) x (features).
+_PRODUCT_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -73,6 +80,7 @@ def find_neighbors(x, reference_features, k: int):
     if x.ndim != 2 or x.shape[1] != ref.shape[1]:
         raise ValueError(f"queries must be a (B, {ref.shape[1]}) block of features, got {x.shape}")
     d = ref.shape[1]
+    step = max(1, _PRODUCT_CELLS // max(1, ref.size))  # query rows per product
     # Rounding bound. Each squared distance, and each |x|^2 + |r|^2 + 2|x.r|,
     # is at most scale / 2. Summed in any order, with or without FMA, the
     # approximation is off by at most about (d + 3) u scale / 2, and the
@@ -87,7 +95,9 @@ def find_neighbors(x, reference_features, k: int):
     with np.errstate(over="ignore", invalid="ignore"):
         ref_sq = np.einsum("ij,ij->i", ref, ref)
         x_sq = np.einsum("ij,ij->i", x, x)
-        approx = x @ ref.T
+        approx = np.empty((len(x), len(ref)))
+        for start in range(0, len(x), step):
+            np.matmul(x[start : start + step], ref.T, out=approx[start : start + step])
         approx *= -2.0
         approx += ref_sq
         approx += x_sq[:, None]

@@ -1,7 +1,9 @@
 """Neighbor search, inverse-distance weights, and region assembly."""
 
+import contextlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -136,19 +138,25 @@ _HUGE = np.random.default_rng(0).random((11, 2)) * 1e155
 # The full search squares differences near 1e155 and overflows to inf.
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=400, deadline=None)
-@given(neighbor_problems())
-@example((_HUGE[:3], _HUGE[3:], 5))
+# ``rows``: query rows per product, or None for the default cap; 0 asks
+# for a cap below one row's product, which still takes one row.
+@given(neighbor_problems(), st.one_of(st.none(), st.integers(0, 7)))
+@example((_HUGE[:3], _HUGE[3:], 5), None)
 # Every query is a reference row, its own nearest at distance 0: all rows
 # are kept and the one returned distance is finite.
-@example((_HUGE[3:6], _HUGE[3:], 1))
-def test_filtered_search_equals_the_full_search(problem):
+@example((_HUGE[3:6], _HUGE[3:], 1), 2)
+def test_filtered_search_equals_the_full_search(problem, rows):
     x, ref, k = problem
+    cap = contextlib.nullcontext()
+    if rows is not None:
+        cap = mock.patch("drs.region._PRODUCT_CELLS", rows * ref.size)
     want_idx, want_dist = reference_find_neighbors(x, ref, k)
     if not np.isfinite(want_dist).all():
-        with pytest.raises(DatasetError, match="overflow float64, try --normalize global"):
+        with cap, pytest.raises(DatasetError, match="overflow float64, try --normalize global"):
             find_neighbors(x, ref, k)
         return
-    idx, dist = find_neighbors(x, ref, k)
+    with cap:
+        idx, dist = find_neighbors(x, ref, k)
     assert idx.tolist() == want_idx.tolist()
     assert dist.tobytes() == want_dist.tobytes()
 
