@@ -160,9 +160,11 @@ def displayed_value(mean: float, scale: str = "1e-4") -> float:
 
 
 def _block_rows(reference_X, k, n_members) -> int:
-    """Query rows per block: as many as keep the larger per-query temporary,
+    """Query rows per block: as many as keep the largest per-query temporary,
     n_reference approximate distances or n_members * k gathered predictions,
-    under ``_QUERY_CELLS`` cells (pass n_members 0 when nothing is gathered)."""
+    under ``_QUERY_CELLS`` cells. Pass k 1 when nothing is gathered, so the
+    block's n_members query predictions count, and n_members 0 when no
+    ensemble predicts."""
     return max(1, _QUERY_CELLS // max(1, len(reference_X), n_members * k))
 
 
@@ -174,35 +176,38 @@ def predict_queries(keys, reference_X, reference_y, query_X, k, ensemble, indivi
     block, where ``start`` is the block's first row and ``predictions`` is
     a (B,) array for its B rows. Provenance is None for the baselines, the
     (B,) selected members for ds and the ``MemberWeights`` with (B, N) rows
-    for dw and dws. The dynamic algorithms score the members over the k
-    nearest reference rows, once per measure and block; every row comes out
-    bit for bit as it would in a block of its own. ``ensemble`` may be None
-    when ``keys`` holds only ``("single", "")``, and ``individual`` is
-    needed only for that key. A generator, so only one block's provenance
-    is kept.
+    for dw and dws. Each block's query rows are predicted when the block is
+    answered, so only one block's (N, B) member predictions are held, and
+    the mean and median baselines are taken per block. The dynamic
+    algorithms score the members over the k nearest reference rows, once
+    per measure and block; every row comes out bit for bit as it would in
+    a block of its own, or from predicting every query row at once.
+    ``ensemble`` may be None when ``keys`` holds only ``("single", "")``,
+    and ``individual`` is needed only for that key. A generator, so only
+    one block's provenance is kept.
     """
-    if ensemble is not None:
-        member_qpreds = ensemble.predict_all(query_X)
-    baselines = {}
-    if ("single", "") in keys:
-        baselines[("single", "")] = individual.predict(query_X)
-    if ("mean", "") in keys:
-        baselines[("mean", "")] = member_qpreds.mean(axis=0)
-    if ("median", "") in keys:
-        baselines[("median", "")] = np.median(member_qpreds, axis=0)
     measures = list(dict.fromkeys(m for a, m in keys if a in DYNAMIC_ALGORITHMS))
     if measures:
         reference_predictions = ensemble.predict_all(reference_X)
-    block = _block_rows(reference_X, k, ensemble.n_members if measures else 0)
+    n_members = 0 if ensemble is None else ensemble.n_members
+    block = _block_rows(reference_X, k if measures else 1, n_members)
+    # Block b's (N, B) member predictions fill the first B columns of one
+    # buffer. Its rows hold two or more queries unless the query set holds
+    # one, like the (N, n_query) matrix of every query's, so each query's
+    # member axis has the same kind of stride at any B and the products and
+    # sums round alike. It starts at zero: every column a sum reads is finite.
+    member_qpreds = np.zeros((n_members, min(max(block, 2), len(query_X))))
     for start in range(0, len(query_X), block):
-        stop = min(start + block, len(query_X))
+        rows = query_X[start : start + block]
+        n = len(rows)
+        if ensemble is not None:
+            member_qpreds[:, :n] = ensemble.predict_all(rows)
+            qp = member_qpreds[:, :n].T
+            # numpy sums one column alone pairwise, but the columns of a
+            # matrix row by row, so a one-row block takes a second column.
+            reduced = member_qpreds[:, : max(n, 2)]
         if measures:
-            region = build_region(
-                query_X[start:stop], reference_X, reference_y, reference_predictions, k
-            )
-            # A transposed view gives each row the same strides at any block
-            # size, so the weighted sums round alike.
-            qp = member_qpreds[:, start:stop].T
+            region = build_region(rows, reference_X, reference_y, reference_predictions, k)
             scores = {m: score_all(m, region, qp) for m in measures}
         answers = {}
         for algo, m in keys:
@@ -213,8 +218,12 @@ def predict_queries(keys, reference_X, reference_y, query_X, k, ensemble, indivi
                 answers[(algo, m)] = (dw_predict(weights, qp), weights)
             elif algo == "dws":
                 answers[(algo, m)] = dws_predict(scores[m], qp)
+            elif algo == "single":
+                answers[(algo, m)] = (individual.predict(rows), None)
+            elif algo == "mean":
+                answers[(algo, m)] = (reduced.mean(axis=0)[:n], None)
             else:
-                answers[(algo, m)] = (baselines[(algo, m)][start:stop], None)
+                answers[(algo, m)] = (np.median(reduced, axis=0)[:n], None)
         yield start, answers
 
 

@@ -7,6 +7,7 @@ reproduce it bit for bit on every row: predictions, DS winners and the
 DW/DWS weights and survivor sets.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from conftest import DATA_DIR
 from drs import bench
 from drs.bench import ALGORITHMS, DYNAMIC_ALGORITHMS, predict_queries
 from drs.datasets import load_csv, normalize_minmax
-from drs.learners import TreeParams, fit_individual, generate_ensemble
+from drs.learners import Ensemble, TreeParams, fit_individual, generate_ensemble
 from drs.measures import MEASURE_IDS
 from drs.region import ZERO_DISTANCE_TOL
 from drs.selection import ZERO_SCORE_TOL
@@ -224,3 +225,51 @@ def test_m1_with_one_neighbor_fails_in_the_block_path():
     ensemble = generate_ensemble(X, y, 2, TreeParams(min_parent_size=2), 0)
     with pytest.raises(ValueError, match="m1"):
         list(predict_queries([("ds", "m1")], X, y, X, 1, ensemble))
+
+
+def _recording_predict_all(calls):
+    """``Ensemble.predict_all``, recording the rows of every call."""
+    predict_all = Ensemble.predict_all
+
+    def recording(self, X):
+        calls.append(len(X))
+        return predict_all(self, X)
+
+    return recording
+
+
+@pytest.mark.parametrize("keys", [[("mean", "")], [("median", "")], [("dws", "m3"), ("mean", "")]])
+def test_blocks_count_the_query_predictions_under_the_cell_cap(keys):
+    """Few reference rows and many members: each block's (N, B) query
+    predictions, not the distances, are its larger temporary, also when
+    only the baselines run."""
+    rng = np.random.default_rng(6)
+    X, y = rng.random((20, 1)), rng.random(20)
+    Q = rng.random((3000, 1))
+    ensemble = generate_ensemble(X, y, 200, TreeParams(min_parent_size=2), 0)
+    calls = []
+    with mock.patch.object(Ensemble, "predict_all", _recording_predict_all(calls)):
+        answered = sum(len(a[keys[0]][0]) for _, a in predict_queries(keys, X, y, Q, 5, ensemble))
+    assert answered == len(Q)
+    query_calls = calls[1:] if keys[0][0] == "dws" else calls  # the first predicts X
+    assert sum(query_calls) == len(Q) and len(query_calls) > 1
+    assert max(query_calls) * ensemble.n_members <= bench._QUERY_CELLS
+
+
+def test_peak_memory_stays_far_below_the_query_prediction_matrix():
+    """20,000 queries and 100 members: the (N, n_query) matrix of every
+    member's prediction at every query would take 16 MB, the largest array
+    by far."""
+    rng = np.random.default_rng(5)
+    X, y = rng.random((20, 1)), rng.random(20)
+    Q = rng.random((20_000, 1))
+    ensemble = generate_ensemble(X, y, 100, TreeParams(min_parent_size=2), 0)
+    ensemble.predict_all(X[:1])  # the node table is built once per ensemble
+    tracemalloc.start()
+    try:
+        for _ in predict_queries([("mean", ""), ("median", "")], X, y, Q, 5, ensemble):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ensemble.n_members * len(Q) * 8 / 2
