@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,51 +105,60 @@ def read_numeric_csv(path) -> tuple[np.ndarray, list[str] | None]:
 
     The first line is a header when any of its cells is not a number.
     Returns the matrix and the stripped header cells (None without a header).
+    The file is parsed row by row into one flat float buffer, so no row's
+    strings outlive it.
 
     Raises
     ------
     DatasetError
-        For an unreadable file, an empty file, a header with no data rows,
-        ragged rows, or any cell that does not parse as a finite number (the
-        message names the offending row and column, 1-based as they appear
-        in the file).
+        For an unreadable file, a file that is not UTF-8, an empty file, a
+        header with no data rows, ragged rows, or any cell that does not
+        parse as a finite number (the message names the offending row and
+        column, 1-based as they appear in the file). Rows are checked in
+        file order and the first fault is reported.
     """
     path = Path(path)
+    values = array("d")
+    column_names = None
+    n_cols = None
+    line = 0  # non-blank rows so far, the header included
     try:
         # utf-8-sig drops a leading byte-order mark, which would otherwise
         # stick to the first cell.
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [r for r in csv.reader(fh) if r]  # drop blank lines
+            for row in csv.reader(fh):
+                if not row:
+                    continue  # a blank line
+                line += 1
+                if n_cols is None:
+                    if line == 1 and _looks_like_header(row):
+                        column_names = [c.strip() for c in row]
+                        continue
+                    n_cols = len(row)
+                if len(row) != n_cols:
+                    raise DatasetError(
+                        f"{path}: ragged row {line}: expected {n_cols} cells, found {len(row)}"
+                    )
+                try:
+                    parsed = [float(c) for c in row]
+                except ValueError:
+                    parsed = None
+                if parsed is None or not all(map(math.isfinite, parsed)):
+                    _raise_bad_cell(path, row, line)
+                values.extend(parsed)
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
-    if not rows:
+    except UnicodeDecodeError as exc:
+        # The decoder's position counts from its current chunk, not the file.
+        byte = exc.object[exc.start]
+        raise DatasetError(
+            f"cannot read {path}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})"
+        ) from exc
+    if not line:
         raise DatasetError(f"{path}: empty file")
-
-    column_names = None
-    first_data_line = 1
-    if _looks_like_header(rows[0]):
-        column_names = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-        first_data_line = 2
-        if not rows:
-            raise DatasetError(f"{path}: no data rows after header")
-
-    n_cols = len(rows[0])
-    values = []
-    for i, row in enumerate(rows):
-        if len(row) != n_cols:
-            raise DatasetError(
-                f"{path}: ragged row {first_data_line + i}: "
-                f"expected {n_cols} cells, found {len(row)}"
-            )
-        try:
-            parsed = [float(c) for c in row]
-        except ValueError:
-            parsed = None
-        if parsed is None or not all(map(math.isfinite, parsed)):
-            _raise_bad_cell(path, row, first_data_line + i)
-        values.append(parsed)
-    return np.array(values, dtype=float), column_names
+    if n_cols is None:
+        raise DatasetError(f"{path}: no data rows after header")
+    return np.frombuffer(values, dtype=float).reshape(-1, n_cols), column_names
 
 
 def _raise_bad_cell(path, row, line):

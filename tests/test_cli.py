@@ -94,6 +94,13 @@ class TestExitCodes:
         assert main(["bench", "--data", str(path)] + BENCH_FAST) == 1
         assert "ragged row 2" in capsys.readouterr().err
 
+    def test_data_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("a,b,y\n1,2,3\ncaf\u00e9,1,2\n".encode("latin-1"))
+        assert main(["bench", "--data", str(path)] + BENCH_FAST) == 1
+        err = capsys.readouterr().err
+        assert f"cannot read {path}: not UTF-8 text (byte 0xe9" in err
+
     def test_bad_max_depth(self, train_csv, capsys):
         code = main(
             ["bench", "--data", str(train_csv), "--max-depth", "deep"] + BENCH_FAST
@@ -408,6 +415,18 @@ class TestPredict:
         )
         assert code == 1
         assert f"{query}: {message}" in capsys.readouterr().err
+
+    def test_query_file_that_is_not_utf8(self, train_csv, tmp_path, capsys):
+        # The bad byte lies past the first chunk the reader decodes, so it is
+        # met while rows are being parsed.
+        query = tmp_path / "q.csv"
+        query.write_bytes(("0.1,0.2,0.3\n" * 2000 + "0.1,0.2,\u00e9\n").encode("latin-1"))
+        code = main(
+            ["predict", "--train", str(train_csv), "--query", str(query),
+             "--members", "4", "--k", "3"]
+        )
+        assert code == 1
+        assert f"cannot read {query}: not UTF-8 text (byte 0xe9" in capsys.readouterr().err
 
     def test_argument_file_matches_flags(self, train_csv, query_csv, tmp_path, capsys):
         flags = ["--train", str(train_csv), "--query", str(query_csv), "--algo", "dws"]

@@ -1,5 +1,7 @@
 """CSV loading, min-max normalization, and fold splitting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -138,6 +140,62 @@ class TestLoadCsv:
         assert (d.n_instances, d.n_features) == (506, 13)
         assert d.features[0, 0] == pytest.approx(0.00632)
         assert d.targets[0] == pytest.approx(24.0)
+
+
+FORMATS = ["{!r}", "{:.3g}", "{:e}", " {!r} ", "{:.0f}"]
+
+
+@st.composite
+def csv_files(draw):
+    """Numeric CSV text: cells of finite floats written in several formats,
+    an optional header, blank lines anywhere, an optional byte-order mark
+    and either line ending. Returns the text, the data rows' cells and the
+    header's cells (None without one)."""
+    n_cols = draw(st.integers(1, 5))
+    value = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+    cell = st.builds(lambda fmt, v: fmt.format(v), st.sampled_from(FORMATS), value)
+    rows = draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols), min_size=1, max_size=20))
+    header = None
+    if draw(st.booleans()):
+        header = [f" c{j} " if draw(st.booleans()) else f"c{j}" for j in range(n_cols)]
+    lines = [",".join(r) for r in ([header] if header else []) + rows]
+    for at in draw(st.lists(st.integers(0, len(lines)), max_size=4)):
+        lines.insert(at, "")
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text, rows, header
+
+
+class TestStreamedParse:
+    @settings(max_examples=100, deadline=None)
+    @given(csv_files())
+    def test_values_are_float_of_every_cell(self, tmp_path_factory, file):
+        text, rows, header = file
+        p = tmp_path_factory.mktemp("csv") / "f.csv"
+        p.write_bytes(text.encode("utf-8"))
+        values, names = read_numeric_csv(p)
+        want = np.array([[float(c) for c in row] for row in rows])
+        assert values.shape == want.shape
+        assert values.tobytes() == want.tobytes()
+        assert names == (None if header is None else [c.strip() for c in header])
+
+    def test_peak_memory_stays_near_the_result(self, tmp_path):
+        rng = np.random.default_rng(0)
+        p = tmp_path / "q.csv"
+        p.write_text("".join(
+            ",".join(f"{v:.6g}" for v in row) + "\n" for row in rng.random((20_000, 13)) * 100
+        ))
+        tracemalloc.start()
+        try:
+            values, _ = read_numeric_csv(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (20_000, 13)
+        # A list of every row's cells, or of their floats, would take over
+        # ten times the 2.08 MB result.
+        assert peak < 3 * values.nbytes
 
 
 class TestDataset:
