@@ -196,6 +196,22 @@ def test_housing_blocks_equal_one_query_reference():
     assert_blocks_match_reference(keys, X, y, Q, 10, ensemble, None)
 
 
+def test_one_row_blocks_round_as_every_query_at_once():
+    """Blocks of one row, alone and after blocks of three, with 30 members:
+    a one-row block's mean still sums the members in order, and its
+    weighted sums still meet a member axis with a non-unit stride, as when
+    every query row is predicted at once."""
+    rng = np.random.default_rng(8)
+    X, y = rng.random((40, 2)), rng.normal(size=40)
+    Q = rng.random((7, 2))
+    ensemble = generate_ensemble(X, y, 30, TreeParams(min_parent_size=2), 1)
+    keys = [("mean", ""), ("median", ""), ("dw", "m2"), ("dws", "m3")]
+    for block in (1, 3):
+        cells = block * max(len(X), ensemble.n_members * 5)
+        with mock.patch.object(bench, "_QUERY_CELLS", cells):
+            assert_blocks_match_reference(keys, X, y, Q, 5, ensemble, None)
+
+
 def test_blocks_keep_the_gathered_predictions_under_the_cell_cap():
     """One feature, few reference rows, k = n and many members: the (N, B, k)
     gather, not the distances, is the larger per-query temporary."""
