@@ -35,6 +35,9 @@ bit:
   ``inf``, as ties are, and never chosen;
 - midpoints grow with the cut position, so the lowest threshold among
   equal-SSE cuts is the first such cut's.
+
+Prediction walks every member of an ensemble at once through one table of
+all their nodes (see :func:`_walk`); one tree is the one-member case.
 """
 
 from __future__ import annotations
@@ -50,8 +53,9 @@ from .rng import derive_seed, make_rng
 
 _PURITY_TOL = 1e-12
 # Largest (feature, row) cell count of one split-search batch, padding rows
-# included: nodes x largest node size x features. It bounds the split
-# search's working arrays only; it changes no tree and no node id.
+# included: nodes x largest node size x features, and largest (tree, row)
+# cell count of one chunk of the prediction walk. It bounds working arrays
+# only; it changes no tree, node id or prediction.
 _BATCH_CELLS = 1 << 14
 
 
