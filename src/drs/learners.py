@@ -11,17 +11,24 @@ index, then lowest threshold.
 Trees grow level by level, all members of an ensemble together (as in
 SLIQ, Mehta et al. 1996, and XGBoost's depth-wise builder, Chen & Guestrin
 2016). One array holds the bag rows of every active node, each node's rows
-in bag order. At each depth, the purity check and the leaf mean run once
-per group of equal-size nodes, and the split search runs on batches of
-nodes of mixed sizes, each padded to the largest node of its batch, under a
-fixed cell cap. One stable partition of the split nodes' rows per depth
-makes the children, each in its parent's row order. Each tree numbers its
-nodes breadth first from the root, left child before right. The nodes,
-splits, thresholds and leaf values are a node-at-a-time builder's bit for
-bit:
+in bag order. At each depth, one pass over the nodes' target ranges settles
+the purity of every node whose range puts it far from the tolerance; the
+variance of the rest runs once per group of equal-size nodes. The split
+search runs on batches of impure nodes of mixed sizes, each padded to the
+largest node of its batch, under a fixed cell cap, and the leaf mean runs
+per equal-size group of the nodes that stay leaves. One stable partition of
+the split nodes' rows per depth makes the children, each in its parent's
+row order. Each tree numbers its nodes breadth first from the root, left
+child before right. The nodes, splits, thresholds and leaf values are a
+node-at-a-time builder's bit for bit:
 
+- a node of n rows whose targets span R has a variance of at least
+  R**2 / (2 n), so R**2 >= 4 n ``_PURITY_TOL`` marks it impure with a
+  factor-2 margin over ``var``'s rounding, and every other candidate takes
+  the same ``var < _PURITY_TOL`` test as a 1-D call;
 - ``var`` and ``mean`` run on groups of one exact size, so their row-wise
-  pairwise sums are those of 1-D calls;
+  pairwise sums are those of 1-D calls; ``mean`` runs on leaves only, and a
+  split node's value is NaN;
 - ``cumsum`` adds sequentially, along any axis;
 - a node's rows are sorted per feature by (value rank, bag position), the
   order a stable sort of its bag-ordered rows gives, so tied values keep
@@ -51,6 +58,9 @@ import numpy as np
 from .datasets import DatasetError
 from .rng import derive_seed, make_rng
 
+# A node whose target variance is below this is a leaf. The range bound in
+# _grow_trees compares against the same value, so changing it here changes
+# the whole purity rule.
 _PURITY_TOL = 1e-12
 # Largest (feature, row) cell count of one split-search batch, padding rows
 # included: nodes x largest node size x features, and largest (tree, row)
@@ -246,17 +256,23 @@ def _best_splits(keys, yb, sizes, distinct, shift, min_leaf):
     f, their positions in the low ``shift`` bits (see :func:`_sort_keys`).
     Node c holds ``sizes[c]`` real rows, at least 2, and padding rows up to
     m, with m >= 2 * min_leaf; a padding row has the padding key and a
-    target of 0. ``yb`` is (c, m), the targets in position order. Returns
-    (found, feature, threshold) arrays of length c; ``found`` is False where
-    no split reduces the SSE.
+    target of 0. ``yb`` is (c, m), the targets in position order. ``keys``
+    is sorted in place and then reused as the gather index, so a caller
+    passes a fresh array. Returns (found, feature, threshold) arrays of
+    length c; ``found`` is False where no split reduces the SSE.
     """
     c, m = yb.shape
-    keys = np.sort(keys, axis=2)
+    keys.sort(axis=2)
     ranks = keys >> shift
-    ys = yb.ravel()[(keys & ((1 << shift) - 1)) + np.arange(0, c * m, m)[:, None]]
+    # The gather index into yb, built in the key buffer: each row's
+    # position plus its node's offset.
+    keys &= (1 << shift) - 1
+    keys += np.arange(0, c * m, m, dtype=keys.dtype)[:, None]
+    ys = yb.ravel()[keys]
     del keys
     csum = np.cumsum(ys, axis=2)
-    csq = np.cumsum(ys * ys, axis=2)
+    ys *= ys
+    csq = np.cumsum(ys, axis=2)
     del ys
     nodes = np.arange(c)
     total_sum = csum[0, nodes, sizes - 1]
@@ -280,7 +296,9 @@ def _best_splits(keys, yb, sizes, distinct, shift, min_leaf):
         - (ts - sum_left) ** 2 / n_right
     )
     del csum, csq, sum_left, sq_left
-    children_sse[(ranks[:, :, lo:hi] == ranks[:, :, lo + 1 : hi + 1]) | short] = np.inf
+    masked = ranks[:, :, lo:hi] == ranks[:, :, lo + 1 : hi + 1]
+    masked |= short
+    children_sse = np.where(masked, np.inf, children_sse)
 
     col_best = children_sse.min(axis=2)
     best = col_best.min(axis=0)
@@ -309,6 +327,20 @@ def _search_runs(sizes, d):
         start = stop
 
 
+def _size_groups(y, rows, starts, sizes, nodes):
+    """``nodes`` grouped by exact size, each group with its targets.
+
+    Yields (group, yb): the node ids of one size m, in ``nodes`` order, and
+    the (len(group), m) targets ``y`` of their rows, node j's rows being
+    ``rows[starts[j] : starts[j] + m]``. Row-wise ``var`` and ``mean`` of yb
+    add pairwise, as 1-D calls on each node do.
+    """
+    nodes = nodes[np.argsort(sizes[nodes], kind="stable")]
+    for group in np.split(nodes, np.flatnonzero(np.diff(sizes[nodes])) + 1):
+        if group.size:
+            yield group, y[rows[starts[group, None] + np.arange(sizes[group[0]])]]
+
+
 def _grow_trees(X, y, bags, params: TreeParams) -> list[RegressionTree]:
     """Fit one tree per row of ``bags`` (row indices into X and y), level by level."""
     n_trees, n = bags.shape
@@ -331,25 +363,28 @@ def _grow_trees(X, y, bags, params: TreeParams) -> list[RegressionTree]:
         starts = np.cumsum(sizes) - sizes
         feature = np.full(n_nodes, -1)
         threshold = np.full(n_nodes, np.nan)
-        mean = np.empty(n_nodes)
+        value = np.full(n_nodes, np.nan)
         left = np.full(n_nodes, -1)
         right = np.full(n_nodes, -1)
-        splittable = params.max_depth is None or depth < params.max_depth
 
-        # Purity and leaf means per exact-size group, where the row-wise
-        # pairwise sums are those of 1-D calls.
-        by_size = np.argsort(sizes, kind="stable")
-        groups = np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1)
-        impure = [np.empty(0, dtype=np.int64)]
-        for group in groups:
-            m = int(sizes[group[0]])
-            yb = y[rows[starts[group, None] + np.arange(m)]]
-            mean[group] = yb.mean(axis=1)
-            if splittable and m >= params.min_parent_size:
-                impure.append(group[~(np.var(yb, axis=1) < _PURITY_TOL)])
+        # Purity of the nodes that may split. A node of n rows whose targets
+        # span a range R has a variance of at least R**2 / (2 n), so where
+        # R**2 >= 4 n _PURITY_TOL it is impure with a factor-2 margin over
+        # np.var's rounding; only the other candidates take np.var.
+        impure = np.zeros(n_nodes, dtype=bool)
+        if params.max_depth is None or depth < params.max_depth:
+            values = y[rows]
+            spread = np.maximum.reduceat(values, starts) - np.minimum.reduceat(values, starts)
+            del values
+            candidate = sizes >= params.min_parent_size
+            impure = candidate & (spread * spread >= 4 * sizes * _PURITY_TOL)
+            near = np.flatnonzero(candidate & ~impure)
+            for group, yb in _size_groups(y, rows, starts, sizes, near):
+                impure[group] = ~(np.var(yb, axis=1) < _PURITY_TOL)
 
         # Split search over the impure nodes in size order, padded per run.
-        impure = np.concatenate(impure)
+        impure = np.flatnonzero(impure)
+        impure = impure[np.argsort(sizes[impure], kind="stable")]
         for run in _search_runs(sizes[impure], d):
             nodes = impure[run]
             run_sizes = sizes[nodes]
@@ -370,7 +405,8 @@ def _grow_trees(X, y, bags, params: TreeParams) -> list[RegressionTree]:
         split = np.flatnonzero(feature >= 0)
         left[split] = n_grown + n_nodes + 2 * np.arange(split.size)
         right[split] = left[split] + 1
-        value = np.where(feature < 0, mean, np.nan)
+        for group, yb in _size_groups(y, rows, starts, sizes, np.flatnonzero(feature < 0)):
+            value[group] = yb.mean(axis=1)
         nodes_by_depth.append((tree_of, feature, threshold, value, left, right))
         if not split.size:
             break

@@ -1,12 +1,15 @@
 """Tree fitting, prediction, bagging, and ensemble generation."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import DATA_DIR
 from drs import learners
+from drs.datasets import kfold_split, load_csv, normalize_minmax
 from drs.learners import (
     _PURITY_TOL,
     Ensemble,
@@ -434,7 +437,9 @@ class TestFitTree:
 @st.composite
 def tree_problems(draw):
     """Small training sets with tied values, duplicate rows, constant
-    columns and, sometimes, constant targets, plus tree parameters."""
+    columns and, sometimes, constant targets or targets of a tiny spread
+    about an offset, whose nodes' variances fall on both sides of
+    ``_PURITY_TOL``, plus tree parameters."""
     n = draw(st.integers(1, 40))
     d = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -443,10 +448,14 @@ def tree_problems(draw):
     X = pool[rng.integers(0, pool.shape[0], size=n)]  # duplicate rows
     if draw(st.booleans()):
         X[:, rng.integers(0, d)] = 1.5  # a constant column
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["constant", "tied", "tiny spread"]))
+    if kind == "constant":
         y = np.full(n, 0.25)
     else:
         y = np.round(rng.normal(size=n), 1)  # tied targets
+    if kind == "tiny spread":
+        offset = draw(st.sampled_from([0.25, 1e3, 1e6]))
+        y = offset + 10.0 ** draw(st.floats(-8.0, -4.0)) * y
     min_leaf = draw(st.integers(1, 5))
     params = TreeParams(
         min_parent_size=2 * min_leaf + draw(st.integers(0, 6)),
@@ -465,7 +474,52 @@ class TestLevelWiseBuilder:
         for i, member in enumerate(ens.members):
             bag = bagging_sample(len(y), derive_seed(seed, i))
             assert member.to_text() == reference_fit_tree(X[bag], y[bag], params).to_text()
-        assert fit_individual(X, y, params).to_text() == reference_fit_tree(X, y, params).to_text()
+        individual = fit_individual(X, y, params)
+        assert individual.to_text() == reference_fit_tree(X, y, params).to_text()
+        for tree in (*ens.members, individual):
+            inner = tree.feature >= 0
+            assert np.isnan(tree.value[inner]).all()
+            assert not np.isnan(tree.value[~inner]).any()
+
+    def test_purity_is_the_variance_rule_node_by_node(self):
+        # Each tree's root is one drawn node. The feature is constant, so no
+        # node splits, and the split search sees exactly the impure roots.
+        # Half the nodes spread normally with a variance near _PURITY_TOL;
+        # the other half hold n - 2 equal values and two at +-R/2, the least
+        # variance, R**2 / (2n), a range R allows, with R**2 near the bound
+        # 4 n _PURITY_TOL on both sides. Offsets reach 1e8.
+        rng = np.random.default_rng(14)
+        decided = {"pure": 0, "impure by var": 0, "impure by range": 0}
+        for n in (2, 3, 5, 13, 40, 200):
+            offset = rng.choice([0.0, 0.25, -3.0, 1e3, 1e6, 1e8], size=(60, 1))
+            scale = 10.0 ** rng.uniform(-0.5, 0.5, size=(60, 1))
+            y = rng.normal(size=(60, n)) * np.sqrt(_PURITY_TOL) * scale
+            extremes = np.zeros((30, n))
+            extremes[:, :2] = [-0.5, 0.5]
+            y[30:] = rng.permuted(extremes, axis=1) * np.sqrt(4 * n * _PURITY_TOL) * scale[30:]
+            y += offset
+            bags = np.arange(y.size).reshape(y.shape)
+            spy = mock.patch.object(learners, "_best_splits", wraps=learners._best_splits)
+            with spy as search:
+                trees = learners._grow_trees(
+                    np.zeros((y.size, 1)), y.ravel(), bags, TreeParams(2, 1)
+                )
+            searched = {
+                yb[i, : sizes[i]].tobytes()
+                for (_, yb, sizes, *_), _ in search.call_args_list
+                for i in range(len(sizes))
+            }
+            for node, tree in zip(y, trees):
+                pure = np.var(node) < _PURITY_TOL
+                assert (node.tobytes() not in searched) == pure
+                assert tree.n_nodes == 1 and tree.value[0] == node.mean()
+                spread = node.max() - node.min()
+                decided[
+                    "pure" if pure
+                    else "impure by range" if spread * spread >= 4 * n * _PURITY_TOL
+                    else "impure by var"
+                ] += 1
+        assert min(decided.values()) > 30, decided
 
     @settings(max_examples=40, deadline=None)
     @given(tree_problems(), st.integers(1, 4))
@@ -506,6 +560,21 @@ def walk_problems(draw):
     n = draw(st.integers(0, 30))
     probes = np.array(draw(st.lists(cells, min_size=n * d, max_size=n * d)), dtype=float)
     return trees, probes.reshape(n, d)
+
+
+def test_fold_fit_peak_memory():
+    # A 100-member fit of a housing training fold (455 rows) peaks near
+    # 2.5 MB; the guard keeps the split kernel's temporaries from growing
+    # toward the benchmark's resident-memory figure.
+    data = normalize_minmax(load_csv(DATA_DIR / "housing.csv"))[0]
+    train = data.subset(kfold_split(data.n_instances, 10, 0)[0].train_indices)
+    tracemalloc.start()
+    try:
+        generate_ensemble(train.features, train.targets, 100, TreeParams(min_leaf_size=5), 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 class TestWalk:
