@@ -111,10 +111,11 @@ def read_numeric_csv(path) -> tuple[np.ndarray, list[str] | None]:
     Raises
     ------
     DatasetError
-        For an unreadable file, a file that is not UTF-8, an empty file, a
-        header with no data rows, ragged rows, or any cell that does not
-        parse as a finite number (the message names the offending row and
-        column, 1-based as they appear in the file). Rows are checked in
+        For an unreadable file, a file that is not UTF-8, a row the csv
+        module cannot parse (such as a cell over its field size limit), an
+        empty file, a header with no data rows, ragged rows, or any cell that
+        does not parse as a finite number (the message names the offending
+        row and column, 1-based as they appear in the file). Rows are checked in
         file order and the first fault is reported.
     """
     path = Path(path)
@@ -148,6 +149,10 @@ def read_numeric_csv(path) -> tuple[np.ndarray, list[str] | None]:
                 values.extend(parsed)
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:
+        # Raised by the reader on the row after the last one it returned,
+        # e.g. for a cell over its field size limit.
+        raise DatasetError(f"{path}: unreadable row {line + 1}: {exc}") from exc
     except UnicodeDecodeError as exc:
         # The decoder's position counts from its current chunk, not the file.
         byte = exc.object[exc.start]

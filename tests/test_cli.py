@@ -101,6 +101,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"cannot read {path}: not UTF-8 text (byte 0xe9" in err
 
+    @pytest.mark.parametrize("command", ["bench", "predict"])
+    def test_cell_over_the_csv_field_limit(self, command, train_csv, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("0.1,0.2,0.3\n0.4," + "9" * 200_000 + ",0.6\n")
+        if command == "bench":
+            argv = ["bench", "--data", str(path), "--out", str(tmp_path / "out")] + BENCH_FAST
+        else:
+            argv = ["predict", "--train", str(train_csv), "--query", str(path),
+                    "--members", "4", "--k", "3"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: unreadable row 2: field larger than field limit" in err
+
     def test_bad_max_depth(self, train_csv, capsys):
         code = main(
             ["bench", "--data", str(train_csv), "--max-depth", "deep"] + BENCH_FAST

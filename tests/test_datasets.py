@@ -1,5 +1,7 @@
 """CSV loading, min-max normalization, and fold splitting."""
 
+import csv
+import re
 import tracemalloc
 
 import numpy as np
@@ -134,6 +136,22 @@ class TestLoadCsv:
         d = load_csv(p, target_column="y")
         assert d.targets.tolist() == [9.0]
         assert d.features.tolist() == [[1.0, 2.0]]
+
+    def test_cell_over_the_csv_field_limit(self, tmp_path):
+        p = tmp_path / "long.csv"
+        p.write_text("1,2,3\n\n4," + "9" * (csv.field_size_limit() + 1) + ",6\n")
+        with pytest.raises(
+            DatasetError, match=rf"^{re.escape(str(p))}: unreadable row 2: field larger than"
+        ):
+            read_numeric_csv(p)
+
+    def test_nul_byte_names_the_file_and_row(self, tmp_path):
+        # Python 3.11's csv module reads NUL as an ordinary character, so the
+        # cell fails to parse; earlier versions raise csv.Error on the row.
+        p = tmp_path / "nul.csv"
+        p.write_bytes(b"a,b,y\n1,2,3\n4,5\x00,6\n")
+        with pytest.raises(DatasetError, match=rf"^{re.escape(str(p))}: .*\brow 3\b"):
+            read_numeric_csv(p)
 
     def test_housing_shape(self):
         d = load_csv(DATA_DIR / "housing.csv")
