@@ -367,10 +367,8 @@ def _grow_trees(X, y, bags, params: TreeParams) -> list[RegressionTree]:
         left = np.full(n_nodes, -1)
         right = np.full(n_nodes, -1)
 
-        # Purity of the nodes that may split. A node of n rows whose targets
-        # span a range R has a variance of at least R**2 / (2 n), so where
-        # R**2 >= 4 n _PURITY_TOL it is impure with a factor-2 margin over
-        # np.var's rounding; only the other candidates take np.var.
+        # Purity of the nodes that may split: impure by the range bound (see
+        # the module docstring), else by np.var per exact-size group.
         impure = np.zeros(n_nodes, dtype=bool)
         if params.max_depth is None or depth < params.max_depth:
             values = y[rows]

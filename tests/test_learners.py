@@ -564,7 +564,7 @@ def walk_problems(draw):
 
 def test_fold_fit_peak_memory():
     # A 100-member fit of a housing training fold (455 rows) peaks near
-    # 2.5 MB; the guard keeps the split kernel's temporaries from growing
+    # 2.3 MB; the guard keeps the split kernel's temporaries from growing
     # toward the benchmark's resident-memory figure.
     data = normalize_minmax(load_csv(DATA_DIR / "housing.csv"))[0]
     train = data.subset(kfold_split(data.n_instances, 10, 0)[0].train_indices)
