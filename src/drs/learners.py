@@ -30,6 +30,9 @@ node-at-a-time builder's bit for bit:
   pairwise sums are those of 1-D calls; ``mean`` runs on leaves only, and a
   split node's value is NaN;
 - ``cumsum`` adds sequentially, along any axis;
+- a complex addition is two independent IEEE additions, so the prefix sums
+  of the packed targets y + i y**2 are, part by part, the real prefix sums
+  of y and of y**2;
 - a node's rows are sorted per feature by (value rank, bag position), the
   order a stable sort of its bag-ordered rows gives, so tied values keep
   their order and every prefix sum is the same;
@@ -40,8 +43,8 @@ node-at-a-time builder's bit for bit:
   rows on both sides of the batch's largest node, with each node's own
   right-hand count, and every cut that leaves fewer in a node is set to
   ``inf``, as ties are, and never chosen;
-- midpoints grow with the cut position, so the lowest threshold among
-  equal-SSE cuts is the first such cut's.
+- midpoints grow with the cut position, so a node's first minimum SSE in
+  (feature, cut) order is at the lowest feature's lowest threshold.
 
 Prediction walks every member of an ensemble at once through one table of
 all their nodes (see :func:`_walk`); one tree is the one-member case.
@@ -63,9 +66,10 @@ from .rng import derive_seed, make_rng
 # the whole purity rule.
 _PURITY_TOL = 1e-12
 # Largest (feature, row) cell count of one split-search batch, padding rows
-# included: nodes x largest node size x features, and largest (tree, row)
+# included (nodes x largest node size x features), and largest (tree, row)
 # cell count of one chunk of the prediction walk. It bounds working arrays
-# only; it changes no tree, node id or prediction.
+# only (16 bytes a packed cell); it changes no tree, node id or prediction.
+# On housing folds 2**13 fit slower, and 2**15 no faster with a 27% higher peak.
 _BATCH_CELLS = 1 << 14
 
 
@@ -249,67 +253,62 @@ def _sort_keys(X):
     return (ranks << shift).astype(dtype), distinct, shift
 
 
-def _best_splits(keys, yb, sizes, distinct, shift, min_leaf):
+def _best_splits(keys, zb, sizes, distinct, shift, min_leaf):
     """Best (feature, threshold) of each node in a batch of padded nodes.
 
     ``keys`` is (d, c, m): the sort keys of the rows of node c under feature
     f, their positions in the low ``shift`` bits (see :func:`_sort_keys`).
     Node c holds ``sizes[c]`` real rows, at least 2, and padding rows up to
     m, with m >= 2 * min_leaf; a padding row has the padding key and a
-    target of 0. ``yb`` is (c, m), the targets in position order. ``keys``
-    is sorted in place and then reused as the gather index, so a caller
-    passes a fresh array. Returns (found, feature, threshold) arrays of
-    length c; ``found`` is False where no split reduces the SSE.
+    target of 0. ``zb`` is (c, m), the packed targets y + i y**2 in position
+    order. ``keys`` is sorted in place, then reused as the gather index, so
+    a caller passes a fresh array. Returns (found, feature, threshold)
+    arrays of length c; ``found`` is False where no split reduces the SSE.
     """
-    c, m = yb.shape
+    c, m = zb.shape
     keys.sort(axis=2)
     ranks = keys >> shift
-    # The gather index into yb, built in the key buffer: each row's
-    # position plus its node's offset.
+    # The gather index into zb, in the key buffer: position + node offset.
     keys &= (1 << shift) - 1
     keys += np.arange(0, c * m, m, dtype=keys.dtype)[:, None]
-    ys = yb.ravel()[keys]
+    sums = np.take(zb, keys)
     del keys
-    csum = np.cumsum(ys, axis=2)
-    ys *= ys
-    csq = np.cumsum(ys, axis=2)
-    del ys
+    np.cumsum(sums, axis=2, out=sums)
     nodes = np.arange(c)
-    total_sum = csum[0, nodes, sizes - 1]
-    total_sq = csq[0, nodes, sizes - 1]
+    total = sums[0, nodes, sizes - 1]
+    parent_sse = total.imag - total.real * total.real / sizes
 
-    # Only cut positions that leave min_leaf rows on both sides of the
-    # largest node; a smaller node's cuts past sizes - min_leaf are masked
-    # with the ties below, so none is ever chosen.
+    # Only cuts that leave min_leaf rows on both sides of the largest node;
+    # a smaller node's cuts past sizes - min_leaf are masked with the ties.
     lo, hi = min_leaf - 1, m - min_leaf
     n_left = np.arange(lo + 1, hi + 1, dtype=float)
     n_right = sizes[:, None] - n_left
     short = n_right < min_leaf
     n_right[short] = min_leaf  # any positive count: keeps masked cuts finite
-    sum_left = csum[:, :, lo:hi]
-    sq_left = csq[:, :, lo:hi]
-    ts = total_sum[:, None]
-    children_sse = (
-        sq_left
-        - sum_left * sum_left / n_left
-        + (total_sq[:, None] - sq_left)
-        - (ts - sum_left) ** 2 / n_right
-    )
-    del csum, csq, sum_left, sq_left
+    sum_left, sq_left = sums.real[:, :, lo:hi], sums.imag[:, :, lo:hi]
+    # The children SSE in place, in two buffers, as ((sq_left - sum_left**2 /
+    # n_left) + (total_sq - sq_left)) - (total_sum - sum_left)**2 / n_right.
+    sse = np.multiply(sum_left, sum_left)
+    sse /= n_left
+    np.subtract(sq_left, sse, out=sse)
+    right = np.subtract(total.imag[:, None], sq_left)
+    sse += right
+    np.subtract(total.real[:, None], sum_left, out=right)
+    right *= right
+    right /= n_right
+    sse -= right
+    del sums, sum_left, sq_left, right
     masked = ranks[:, :, lo:hi] == ranks[:, :, lo + 1 : hi + 1]
     masked |= short
-    children_sse = np.where(masked, np.inf, children_sse)
+    np.putmask(sse, masked, np.inf)
 
-    col_best = children_sse.min(axis=2)
-    best = col_best.min(axis=0)
-    parent_sse = total_sq - total_sum * total_sum / sizes
+    # The first minimum in (feature, cut) order breaks ties. A node with no
+    # valid cut reads its unused threshold at the first cut, within its rows.
+    first = sse.transpose(1, 0, 2).reshape(c, -1).argmin(axis=1)
+    feat, cut = np.divmod(first, hi - lo)
+    best = sse[feat, nodes, cut]
     found = np.isfinite(best) & ~(parent_sse - best <= 0.0)
-    feat = np.argmax(col_best == best, axis=0)
-    # Midpoints grow with the cut position, so the lowest threshold among
-    # equal-SSE cuts is the first one. A node with no valid cut reads its
-    # (unused) threshold at the first cut, clamped to its real rows.
-    cut = lo + np.argmax(children_sse[feat, nodes] == best[:, None], axis=1)
-    cut = np.minimum(cut, sizes - 2)
+    cut = np.minimum(cut + lo, sizes - 2)
     below = distinct[feat, ranks[feat, nodes, cut]]
     above = distinct[feat, ranks[feat, nodes, cut + 1]]
     return found, feat, (below + above) / 2.0
@@ -342,11 +341,14 @@ def _size_groups(y, rows, starts, sizes, nodes):
 
 
 def _grow_trees(X, y, bags, params: TreeParams) -> list[RegressionTree]:
-    """Fit one tree per row of ``bags`` (row indices into X and y), level by level."""
+    """Fit one tree per row of ``bags`` (up to len(y) row indices into X and y), level by level."""
     n_trees, n = bags.shape
     d = X.shape[1]
     keys, distinct, shift = _sort_keys(X)
-    y_padded = np.append(y, 0.0)  # row n is the padding row
+    # Packed targets y + i y**2, set part by part so that every bit is kept;
+    # the last row, 0, is the padding row, as in keys.
+    z_padded = np.zeros(len(y) + 1, dtype=complex)
+    z_padded.real[:-1], z_padded.imag[:-1] = y, y * y
 
     # The active nodes of one depth: their rows, node after node, each in
     # bag order, and each node's tree and size.
@@ -362,10 +364,8 @@ def _grow_trees(X, y, bags, params: TreeParams) -> list[RegressionTree]:
         n_nodes = tree_of.size
         starts = np.cumsum(sizes) - sizes
         feature = np.full(n_nodes, -1)
-        threshold = np.full(n_nodes, np.nan)
-        value = np.full(n_nodes, np.nan)
-        left = np.full(n_nodes, -1)
-        right = np.full(n_nodes, -1)
+        threshold, value = np.full((2, n_nodes), np.nan)
+        left, right = np.full((2, n_nodes), -1)
 
         # Purity of the nodes that may split: impure by the range bound (see
         # the module docstring), else by np.var per exact-size group.
@@ -388,11 +388,11 @@ def _grow_trees(X, y, bags, params: TreeParams) -> list[RegressionTree]:
             run_sizes = sizes[nodes]
             positions = np.arange(run_sizes[-1])
             real = positions < run_sizes[:, None]
-            node_rows = np.full(real.shape, n)
+            node_rows = np.full(real.shape, len(y))
             node_rows[real] = rows[(starts[nodes, None] + positions)[real]]
             found, feat, thr = _best_splits(
                 keys[:, node_rows] | positions.astype(keys.dtype),
-                y_padded[node_rows], run_sizes, distinct, shift, params.min_leaf_size,
+                z_padded[node_rows], run_sizes, distinct, shift, params.min_leaf_size,
             )
             feature[nodes[found]] = feat[found]
             threshold[nodes[found]] = thr[found]

@@ -148,16 +148,19 @@ PERMUTED_TREE = RegressionTree(
 def _best_splits_of(nodes, min_leaf):
     """The batched split kernel on one batch of ``nodes``, a list of
     (X (m, d), y (m,)) pairs of any sizes m >= 2, each padded to the largest,
-    which must have at least 2 * min_leaf rows."""
+    which must have at least 2 * min_leaf rows. The targets go in packed,
+    y + i y**2, with a padding target of 0."""
     sizes = np.array([y.size for _, y in nodes])
     keys, distinct, shift = _sort_keys(np.concatenate([X for X, _ in nodes]))
     positions = np.arange(sizes.max())
     real = positions < sizes[:, None]
     starts = np.cumsum(sizes) - sizes
     rows = np.where(real, starts[:, None] + positions, sizes.sum())  # the padding row
-    y_padded = np.append(np.concatenate([y for _, y in nodes]), 0.0)
+    y = np.concatenate([y for _, y in nodes])
+    z_padded = np.zeros(y.size + 1, dtype=complex)
+    z_padded.real[:-1], z_padded.imag[:-1] = y, y * y
     keys = keys[:, rows] | positions.astype(keys.dtype)
-    return _best_splits(keys, y_padded[rows], sizes, distinct, shift, min_leaf)
+    return _best_splits(keys, z_padded[rows], sizes, distinct, shift, min_leaf)
 
 
 def _best_split(X, y, min_leaf):
@@ -289,17 +292,23 @@ def padded_batches(draw):
     """One batch of nodes of different sizes over a few distinct values (so
     duplicated values and tied targets): a node of exactly 2 * min_leaf
     rows, a node of over twice that, so the first is mostly padding, and up
-    to four more of 2 to 40 rows, some too small for any valid cut."""
+    to four more of 2 to 40 rows, some too small for any valid cut. Some
+    batches repeat one column at another feature index, so every node has
+    equal-SSE cuts on two features."""
     min_leaf = draw(st.integers(1, 5))
     d = draw(st.integers(1, 3))
     sizes = [2 * min_leaf, draw(st.integers(4 * min_leaf + 1, 4 * min_leaf + 30))]
     sizes += draw(st.lists(st.integers(2, 40), max_size=4))
     sizes = draw(st.permutations(sizes))
+    repeat = draw(st.none() | st.tuples(st.integers(0, d - 1), st.integers(0, d)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    nodes = [
-        (rng.integers(0, 5, size=(m, d)).astype(float), np.round(rng.normal(size=m), 1))
-        for m in sizes
-    ]
+    nodes = []
+    for m in sizes:
+        X = rng.integers(0, 5, size=(m, d)).astype(float)
+        if repeat is not None:
+            column, at = repeat
+            X = np.insert(X, at, X[:, column], axis=1)
+        nodes.append((X, np.round(rng.normal(size=m), 1)))
     return nodes, min_leaf
 
 
@@ -481,6 +490,18 @@ class TestLevelWiseBuilder:
             assert np.isnan(tree.value[inner]).all()
             assert not np.isnan(tree.value[~inner]).any()
 
+    def test_bags_narrower_than_the_training_set(self):
+        # The padding row follows the training set's len(y) rows whatever
+        # the bag width, so narrower bags still grow their reference trees.
+        rng = np.random.default_rng(15)
+        X = rng.integers(0, 6, size=(60, 2)).astype(float)
+        y = np.round(rng.normal(size=60), 1)
+        params = TreeParams(4, 2)
+        for width in (1, 2, 25, 59, 60):
+            bags = rng.integers(0, 60, size=(4, width))
+            for bag, tree in zip(bags, learners._grow_trees(X, y, bags, params)):
+                assert tree.to_text() == reference_fit_tree(X[bag], y[bag], params).to_text()
+
     def test_purity_is_the_variance_rule_node_by_node(self):
         # Each tree's root is one drawn node. The feature is constant, so no
         # node splits, and the split search sees exactly the impure roots.
@@ -505,8 +526,8 @@ class TestLevelWiseBuilder:
                     np.zeros((y.size, 1)), y.ravel(), bags, TreeParams(2, 1)
                 )
             searched = {
-                yb[i, : sizes[i]].tobytes()
-                for (_, yb, sizes, *_), _ in search.call_args_list
+                zb.real[i, : sizes[i]].tobytes()
+                for (_, zb, sizes, *_), _ in search.call_args_list
                 for i in range(len(sizes))
             }
             for node, tree in zip(y, trees):
@@ -564,7 +585,7 @@ def walk_problems(draw):
 
 def test_fold_fit_peak_memory():
     # A 100-member fit of a housing training fold (455 rows) peaks near
-    # 2.3 MB; the guard keeps the split kernel's temporaries from growing
+    # 2.2 MB; the guard keeps the split kernel's temporaries from growing
     # toward the benchmark's resident-memory figure.
     data = normalize_minmax(load_csv(DATA_DIR / "housing.csv"))[0]
     train = data.subset(kfold_split(data.n_instances, 10, 0)[0].train_indices)
