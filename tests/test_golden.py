@@ -13,6 +13,10 @@ tree's shape, split features, thresholds and leaf values bit for bit but
 not how its nodes are numbered. A tree-builder change must keep all of
 those, not only the rounded MSEs.
 
+``golden/housing.protocol-trees.sha256`` pins, the same way, every tree
+that perfbench's ``cv-housing`` workload fits (``PROTOCOL_CONFIG``): each
+fold's 100 members and then its individual tree, in fold order.
+
 ``golden/housing.predict.sha256`` pins ``drs predict``: one line per
 algorithm with the sha256 of its stdout when it trains on housing and
 queries housing's own feature columns (``PREDICT_ARGS``).
@@ -38,12 +42,18 @@ from drs import learners
 from drs.bench import RunConfig
 from drs.cli import main
 from drs.datasets import kfold_split, load_csv, normalize_minmax
-from drs.learners import fit_individual, generate_ensemble
+from drs.learners import TreeParams, fit_individual, generate_ensemble
 from drs.rng import derive_seed
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN = GOLDEN_DIR / "housing.results.csv"
 GOLDEN_TREES = GOLDEN_DIR / "housing.trees.sha256"
+GOLDEN_PROTOCOL_TREES = GOLDEN_DIR / "housing.protocol-trees.sha256"
+# The cross-validation protocol the benchmark times: global normalisation,
+# seed 1729, 10 folds, 100 members, min_leaf_size 5.
+PROTOCOL_CONFIG = RunConfig(
+    n_members=100, replications=1, seed=1729, tree_params=TreeParams(min_leaf_size=5)
+)
 GOLDEN_PREDICT = GOLDEN_DIR / "housing.predict.sha256"
 GOLDEN_ARGS = [
     "--algo", "all", "--measures", "all",
@@ -81,34 +91,48 @@ def test_housing_results_match_golden_bytes(tmp_path, capsys):
     assert got == want, f"results.csv differs from {GOLDEN.name}: {changed[:3]}"
 
 
-def first_fold_ensemble(n_members=25):
-    """Refit fold 0 of replication 0's ensemble the way ``drs bench`` fits
-    each fold task for ``GOLDEN_ARGS``, with ``n_members`` members; also
-    returns the fold's training set and tree parameters."""
-    config = RunConfig(n_members=n_members, folds=5)
+def housing_folds(config):
+    """Each fold of replication 0 of housing, as ``drs bench`` makes its fold
+    tasks under ``config`` (global normalisation): (training set, ensemble
+    seed), in fold order."""
     data, _ = normalize_minmax(load_csv(DATA_DIR / "housing.csv"))
     rep_seed = derive_seed(config.seed, 0)
-    fold = kfold_split(data.n_instances, config.folds, rep_seed)[0]
-    train = data.subset(fold.train_indices)
-    ensemble = generate_ensemble(
-        train.features, train.targets, config.n_members,
-        config.tree_params, derive_seed(rep_seed, fold.fold_id),
+    for fold in kfold_split(data.n_instances, config.folds, rep_seed):
+        yield data.subset(fold.train_indices), derive_seed(rep_seed, fold.fold_id)
+
+
+def first_fold_ensemble(n_members=25):
+    """Refit fold 0 of replication 0's ensemble the way ``drs bench`` fits
+    each fold task for ``GOLDEN_ARGS``, with ``n_members`` members."""
+    config = RunConfig(n_members=n_members, folds=5)
+    train, seed = next(housing_folds(config))
+    return generate_ensemble(
+        train.features, train.targets, config.n_members, config.tree_params, seed
     )
-    return ensemble, train, config.tree_params
 
 
-def first_fold_trees_sha256() -> str:
-    """Hash the tree dumps of fold 0 of replication 0 for ``GOLDEN_ARGS``."""
-    ensemble, train, params = first_fold_ensemble()
-    single = fit_individual(train.features, train.targets, params)
+def trees_sha256(config, n_folds) -> str:
+    """Hash the tree dumps of the first ``n_folds`` folds under ``config``:
+    each fold's ensemble members, in member order, then its individual tree."""
     digest = hashlib.sha256()
-    for tree in (*ensemble.members, single):
-        digest.update((tree.to_text() + "\n").encode())
+    for train, seed in list(housing_folds(config))[:n_folds]:
+        ensemble = generate_ensemble(
+            train.features, train.targets, config.n_members, config.tree_params, seed
+        )
+        single = fit_individual(train.features, train.targets, config.tree_params)
+        for tree in (*ensemble.members, single):
+            digest.update((tree.to_text() + "\n").encode())
     return digest.hexdigest()
 
 
 def test_housing_first_fold_trees_match_golden_hash():
-    assert first_fold_trees_sha256() == GOLDEN_TREES.read_text().strip()
+    config = RunConfig(n_members=25, folds=5)
+    assert trees_sha256(config, 1) == GOLDEN_TREES.read_text().strip()
+
+
+def test_housing_protocol_trees_match_golden_hash():
+    got = trees_sha256(PROTOCOL_CONFIG, PROTOCOL_CONFIG.folds)
+    assert got == GOLDEN_PROTOCOL_TREES.read_text().strip()
 
 
 def test_batch_composition_does_not_change_the_trees(monkeypatch):
@@ -119,7 +143,7 @@ def test_batch_composition_does_not_change_the_trees(monkeypatch):
         fields = ("feature", "threshold", "left", "right", "value")
         return [
             (tree.to_text(), *(getattr(tree, f).tobytes() for f in fields))
-            for tree in first_fold_ensemble(100)[0].members
+            for tree in first_fold_ensemble(100).members
         ]
 
     want = trees()
