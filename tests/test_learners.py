@@ -502,6 +502,21 @@ class TestLevelWiseBuilder:
             for bag, tree in zip(bags, learners._grow_trees(X, y, bags, params)):
                 assert tree.to_text() == reference_fit_tree(X[bag], y[bag], params).to_text()
 
+    def test_a_depth_of_2_to_the_15_splits_takes_a_32_bit_partition_key(self):
+        # Every bag of two or more distinct rows splits at its root, so depth
+        # 0 splits at least 2**15 nodes into 2**16 children, one more than a
+        # 16-bit child key can number.
+        rng = np.random.default_rng(16)
+        X = np.column_stack([np.arange(16.0), rng.integers(0, 3, size=16)])
+        y = np.round(rng.normal(size=16), 1) + np.arange(16) * 1e-3
+        bags = rng.integers(0, 16, size=(2**15 + 256, 4))
+        params = TreeParams(2, 1)
+        trees = learners._grow_trees(X, y, bags, params)
+        assert sum(tree.n_nodes > 1 for tree in trees) >= 2**15
+        for i in rng.choice(len(trees), size=40, replace=False):
+            want = reference_fit_tree(X[bags[i]], y[bags[i]], params)
+            assert trees[i].to_text() == want.to_text()
+
     def test_purity_is_the_variance_rule_node_by_node(self):
         # Each tree's root is one drawn node. The feature is constant, so no
         # node splits, and the split search sees exactly the impure roots.
@@ -585,7 +600,7 @@ def walk_problems(draw):
 
 def test_fold_fit_peak_memory():
     # A 100-member fit of a housing training fold (455 rows) peaks near
-    # 2.2 MB; the guard keeps the split kernel's temporaries from growing
+    # 2.7 MB; the guard keeps the split kernel's temporaries from growing
     # toward the benchmark's resident-memory figure.
     data = normalize_minmax(load_csv(DATA_DIR / "housing.csv"))[0]
     train = data.subset(kfold_split(data.n_instances, 10, 0)[0].train_indices)
