@@ -265,7 +265,7 @@ def apply_normalization(d: Dataset, params: NormalizationParams) -> Dataset:
     Data outside the range the parameters were computed on maps outside
     [0, 1]; only the dataset the parameters came from is guaranteed to land
     inside. Columns that were constant when the parameters were computed
-    map to 0.
+    map to 0. Raises DatasetError as :func:`apply_minmax` does.
     """
     out = apply_minmax(np.column_stack([d.features, d.targets]), params)
     return Dataset(out[:, :-1], out[:, -1], d.name)
@@ -277,13 +277,26 @@ def apply_minmax(matrix, params: NormalizationParams) -> np.ndarray:
     A matrix with every column (features, then target) is mapped whole; a
     feature-only matrix, such as query rows, uses the feature columns'
     parameters. The mapping is that of :func:`apply_normalization`.
+
+    Raises DatasetError, naming the first such cell (1-based row and
+    column), when a value lies so far outside its column's range that the
+    mapped value overflows float64.
     """
     cols = np.asarray(matrix, dtype=float)
     n = cols.shape[1]
     rng_ = params.col_range[:n]
     scale = np.where(rng_ > 0, rng_, 1.0)
-    out = (cols - params.col_min[:n]) / scale
+    with np.errstate(over="ignore"):
+        out = (cols - params.col_min[:n]) / scale
     out[:, rng_ == 0] = 0.0
+    overflow = np.argwhere(~np.isfinite(out))
+    if overflow.size:
+        i, c = overflow[0]
+        raise DatasetError(
+            f"row {i + 1}, column {c + 1}: {cols[i, c]:.6g} lies so far outside the "
+            f"column's range, {params.col_min[c]:.6g} to {params.col_max[c]:.6g}, that "
+            "min-max scaling overflows float64; try --normalize none"
+        )
     return out
 
 

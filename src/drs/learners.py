@@ -219,7 +219,8 @@ def _check_training_set(X, y):
     if X.shape[0] == 0:
         raise ValueError("cannot fit a tree on an empty training set")
     # Every sum in the split arithmetic (prefix sums of y and y*y, their
-    # squares, the variance) stays below (n * max|y|)**2.
+    # squares, the variance) stays below (n * max|y|)**2, and the sum a + b
+    # behind each threshold, the midpoint of two feature values, within 2 max|x|.
     largest = float(np.max(np.abs(y)))
     bound = X.shape[0] * largest
     if not math.isfinite(bound * bound):
@@ -227,6 +228,10 @@ def _check_training_set(X, y):
             f"targets reach |y| = {largest:.6g}; with {X.shape[0]} training rows "
             "the split sums overflow float64, try --normalize global"
         )
+    widest = float(np.max(np.abs(X), initial=0.0))
+    if not math.isfinite(2 * widest):
+        raise DatasetError(f"features reach |x| = {widest:.6g}; the split thresholds "
+                           "overflow float64, try --normalize global")
 
 
 def _sort_keys(X):
@@ -446,8 +451,7 @@ def fit_individual(features, targets, params: TreeParams | None = None) -> Regre
     """The single-regressor baseline: one tree on the whole training set, no bagging.
 
     It is the builder's one-member case, with the identity as its bag.
-    Raises DatasetError when the targets are too large for the split sums
-    (see :func:`generate_ensemble`).
+    Raises DatasetError as :func:`generate_ensemble` does.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -507,8 +511,8 @@ def generate_ensemble(
     Every bag has exactly the training-set size, drawn with replacement.
     All members are grown together, level by level.
 
-    Raises DatasetError when ``(n * max|y|)**2`` is not finite, since the
-    split sums would overflow float64 and every tree would collapse.
+    Raises DatasetError when ``(n * max|y|)**2`` or ``2 * max|x|`` is not
+    finite: the split sums or the thresholds would overflow float64.
     """
     if n_members < 1:
         raise ValueError("n_members must be >= 1")

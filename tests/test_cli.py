@@ -1,14 +1,19 @@
 """Command line interface: argument parsing, exit codes, and end-to-end runs."""
 
+import contextlib
+import io
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import synthetic_dataset, write_csv
-from drs.bench import RunConfig
+from drs.bench import ALGORITHMS, RunConfig
 from drs.cli import CliArgumentError, main, parse_algorithms, parse_measures
 from drs.datasets import load_csv
+from drs.measures import MEASURE_IDS
 
 BENCH_FAST = [
     "--folds", "3", "--reps", "2", "--members", "6", "--k", "3",
@@ -168,6 +173,32 @@ class TestExitCodes:
         assert "try --normalize global" in captured.err
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize("command", ["bench", "predict"])
+    def test_features_whose_thresholds_overflow_fail_before_fitting(
+        self, command, tmp_path, capsys
+    ):
+        # Two values of column 2 near -1.6e308 have a midpoint whose sum,
+        # a + b, overflows float64.
+        rng = np.random.default_rng(11)
+        X, y = synthetic_dataset(rng, 40, 3)
+        X[:, 1] = -1.6e308 + np.abs(X[:, 1]) * 1e307
+        data = write_csv(tmp_path / "far.csv", X, y)
+        out = tmp_path / "out"
+        if command == "bench":
+            argv = ["bench", "--data", str(data), "--out", str(out)] + BENCH_FAST
+        else:
+            query = write_csv(tmp_path / "query.csv", X[:3, :2], X[:3, 2])
+            argv = ["predict", "--train", str(data), "--query", str(query),
+                    "--algo", "single"]
+        assert main(argv + ["--normalize", "none"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(
+            r"features reach \|x\| = 1\.5\d+e\+308; the split thresholds overflow "
+            r"float64, try --normalize global", captured.err
+        )
+        assert not (out / "results.csv").exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["predict", "inspect"])
     def test_overflowing_feature_distances_fail(self, command, tmp_path, capsys):
@@ -236,6 +267,28 @@ class TestExitCodes:
         )
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize("command", ["predict", "inspect"])
+    def test_a_row_that_overflows_when_scaled_fails(self, command, tmp_path, capsys):
+        # Training column 2 spans 2e-109; row 2 of the query file (or the
+        # held-out row) lies 1e200 from it, so its scaled value overflows.
+        train = np.array([[-3.0, -2e-109, 2.0], [0.0, -1e-109, -3.0], [1.0, 0.0, -2.0]])
+        if command == "predict":
+            data = write_csv(tmp_path / "train.csv", train[:, :2], train[:, 2])
+            query = write_csv(tmp_path / "query.csv", [[2.0], [-3.0]], [-2e-109, -1e200])
+            argv = ["predict", "--train", str(data), "--query", str(query), "--k", "1"]
+        else:
+            rows = np.vstack([train, [[1.0, -1e200, 0.5]]])
+            data = write_csv(tmp_path / "train.csv", rows[:, :2], rows[:, 2])
+            argv = ["inspect", "--data", str(data), "--row", "3", "--k", "2"]
+        assert main(argv + ["--members", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(
+            r"row \d, column 2: -1e\+200 lies so far outside the column's range, "
+            r"-2e-109 to 0, that min-max scaling overflows float64; try --normalize none",
+            captured.err,
+        )
+
     def test_k_exceeding_training_fold(self, train_csv, capsys):
         code = main(
             ["bench", "--data", str(train_csv), "--k", "30",
@@ -255,6 +308,56 @@ class TestExitCodes:
         )
         assert code == 2
         assert "smallest training fold" in capsys.readouterr().err
+
+
+@st.composite
+def extreme_predict_runs(draw):
+    """``drs predict`` arguments over a training file of 3 to 14 rows whose
+    cells range from 1e-300 to 1.7e308 in magnitude, some columns sharing one
+    magnitude and some cells drawn alone, and a few query rows of the same
+    kind."""
+    n = draw(st.integers(3, 14))
+    d = draw(st.integers(1, 3))
+    magnitude = st.builds(lambda e: 10.0 ** e, st.floats(-300.0, 308.23))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = rng.integers(-3, 4, size=(n + 3, d + 1)) / 3 * np.array(draw(
+        st.lists(magnitude, min_size=d + 1, max_size=d + 1)
+    ))
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = rng.integers(0, n + 3), rng.integers(0, d + 1)
+        cells[i, j] = draw(st.sampled_from([-1.0, 1.0])) * draw(magnitude)
+    argv = [
+        "--algo", draw(st.sampled_from(ALGORITHMS)),
+        "--measure", draw(st.sampled_from(MEASURE_IDS)),
+        "--members", str(draw(st.integers(1, 4))),
+        "--k", str(draw(st.integers(1, n))),
+        "--min-parent-size", "2", "--min-leaf-size", "1",
+    ]
+    return cells[:n], cells[n:, :d], argv
+
+
+class TestExtremeInputs:
+    @settings(max_examples=100, deadline=None)
+    @given(extreme_predict_runs(), st.sampled_from(("global", "none")))
+    def test_predict_gives_finite_values_or_fails_with_a_message(
+        self, tmp_path_factory, run, normalize
+    ):
+        train, query, flags = run
+        workdir = tmp_path_factory.mktemp("extreme")
+        data = write_csv(workdir / "train.csv", train[:, :-1], train[:, -1])
+        query_csv = workdir / "query.csv"
+        query_csv.write_text("".join(",".join(map(repr, row)) + "\n" for row in query.tolist()))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["predict", "--train", str(data), "--query", str(query_csv),
+                         "--normalize", normalize, *flags])
+        if code == 0:
+            values = [line.split()[2] for line in out.getvalue().splitlines()]
+            assert len(values) == len(query)
+            assert all(math.isfinite(float(v)) for v in values)
+        else:
+            assert code in (1, 2)
+            assert re.fullmatch(r"error: \S.*\n", err.getvalue())
 
 
 class TestBench:

@@ -161,6 +161,13 @@ class TestLoadCsv:
 
 
 FORMATS = ["{!r}", "{:.3g}", "{:e}", " {!r} ", "{:.0f}"]
+# Fragments of numeric CSV text and of what breaks it: signs, exponents,
+# words float() reads as non-finite, quotes, NUL, a byte-order mark and
+# bytes that are not UTF-8.
+CSV_PIECES = [
+    b"0", b"1", b"7", b".", b"-", b"+", b"e", b"E", b"308", b"1e309", b"nan", b"inf",
+    b"x", b",", b" ", b"\n", b"\r\n", b'"', b"\x00", b"\xef\xbb\xbf", b"\xff", b"\xc3\xa9",
+]
 
 
 @st.composite
@@ -197,6 +204,22 @@ class TestStreamedParse:
         assert values.shape == want.shape
         assert values.tobytes() == want.tobytes()
         assert names == (None if header is None else [c.strip() for c in header])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=200),
+        st.lists(st.sampled_from(CSV_PIECES), max_size=40).map(b"".join),
+    ))
+    def test_any_bytes_give_a_finite_matrix_or_a_dataset_error(self, tmp_path_factory, data):
+        p = tmp_path_factory.mktemp("csv") / "f.csv"
+        p.write_bytes(data)
+        try:
+            values, _ = read_numeric_csv(p)
+        except DatasetError as exc:
+            assert str(p) in str(exc)
+            return
+        assert values.dtype == float and values.ndim == 2 and values.size
+        assert np.isfinite(values).all()
 
     def test_peak_memory_stays_near_the_result(self, tmp_path):
         rng = np.random.default_rng(0)
