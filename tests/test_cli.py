@@ -313,9 +313,9 @@ class TestExitCodes:
 @st.composite
 def extreme_predict_runs(draw):
     """``drs predict`` arguments over a training file of 3 to 14 rows whose
-    cells range from 1e-300 to 1.7e308 in magnitude, some columns sharing one
-    magnitude and some cells drawn alone, and a few query rows of the same
-    kind."""
+    cells range from 1e-300 to 1.7e308 in magnitude: each column holds
+    multiples of one magnitude, and up to four cells take one of their own.
+    The three query rows are drawn the same way."""
     n = draw(st.integers(3, 14))
     d = draw(st.integers(1, 3))
     magnitude = st.builds(lambda e: 10.0 ** e, st.floats(-300.0, 308.23))
