@@ -264,14 +264,16 @@ def _run_fold(task):
         train, params = normalize_minmax(train)
         test = apply_normalization(test, params)
 
-    ensemble = individual = None
+    # The individual tree grows with the ensemble when the fold needs both.
+    ensemble = None
     if any(a != "single" for a in config.algorithms):
         ens_seed = derive_seed(replication_seed, fold.fold_id)
         ensemble = generate_ensemble(
             train.features, train.targets, config.n_members,
-            config.tree_params, ens_seed,
+            config.tree_params, ens_seed, individual="single" in config.algorithms,
         )
-    if "single" in config.algorithms:
+        individual = ensemble.individual
+    else:
         individual = fit_individual(train.features, train.targets, config.tree_params)
 
     keys = config.method_keys()

@@ -45,10 +45,19 @@ node-at-a-time builder's bit for bit:
   added and are never chosen; the rest get 0 added. The overflow guard keeps
   every SSE finite, so this equals writing ``inf`` (x + 0 is x);
 - midpoints grow with the cut position, so a node's first minimum SSE in
-  (feature, cut) order is at the lowest feature's lowest threshold.
+  (feature, cut) order is at the lowest feature's lowest threshold; where
+  the midpoint of two adjacent doubles rounds to the larger, the smaller is
+  the threshold, and it splits them the same way.
+
+None of these depends on which nodes share a batch or a depth, so a tree
+grown among others is the tree grown alone: ``generate_ensemble`` grows
+the single-regressor baseline, on the identity bag, in its members' pass.
 
 Prediction walks every member of an ensemble at once through one table of
-all their nodes (see :func:`_walk`); one tree is the one-member case.
+all their nodes (see :func:`_walk`); one tree is the one-member case. The
+table takes the trees deepest first, so at each step the cells still
+moving are a prefix of the walk's tree-major cells, and each tree stops at
+its own depth instead of the deepest tree's.
 """
 
 from __future__ import annotations
@@ -70,7 +79,7 @@ _PURITY_TOL = 1e-12
 # included (nodes x largest node size x features), and largest (tree, row)
 # cell count of one chunk of the prediction walk. It bounds working arrays
 # only (16 bytes a packed cell); it changes no tree, node id or prediction.
-# Housing fold fits: 2**15 is 7% faster than 2**14 (peaks 2.70 / 2.07 MB); 2**16 no faster.
+# Housing fold fits: 2**15 is 7% faster than 2**14 (peaks 2.60 / 2.08 MB); 2**16 no faster.
 _BATCH_CELLS = 1 << 15
 
 
@@ -158,43 +167,52 @@ class RegressionTree:
 def _node_table(trees):
     """The nodes of ``trees`` in one flat table, for :func:`_walk`.
 
-    Returns (roots, feature, threshold, children, value, depth). Tree t's
-    root is node ``roots[t]``; node i's left and right children are
+    Returns (order, roots, feature, threshold, children, value, walking).
+    The walk takes the trees deepest first, ties in the given order: its
+    t-th tree is ``trees[order[t]]``, rooted at node ``roots[t]``, and
+    ``walking[s]`` trees are deeper than s, so they come first and are the
+    only ones still moving at step s. Node i's right and left children are
     ``children[2i]`` and ``children[2i + 1]``, ids into the table. A leaf
-    reads feature 0 and is both its own children, so a walk of ``depth``
-    steps, the deepest tree's, leaves every row at its leaf.
+    reads feature 0 and is both its own children.
     """
     sizes = [tree.n_nodes for tree in trees]
-    roots = np.cumsum([0] + sizes[:-1])
+    starts = np.cumsum([0] + sizes[:-1])
     feature, threshold, left, right, value = (
         np.concatenate([getattr(tree, name) for tree in trees])
         for name in ("feature", "threshold", "left", "right", "value")
     )
     inner = feature >= 0
-    offset = np.repeat(roots, sizes)
+    offset = np.repeat(starts, sizes)
     ids = np.arange(feature.size)
-    children = np.where(inner, np.stack([left, right]) + offset, ids).T.ravel()
-    depth = 0
-    level = roots[inner[roots]]
+    children = np.where(inner, np.stack([right, left]) + offset, ids).T.ravel()
+    # Each tree's depth: the number of levels that hold its inner nodes.
+    tree_of = np.repeat(np.arange(len(trees)), sizes)
+    depths = np.zeros(len(trees), dtype=np.int64)
+    level, depth = starts[inner[starts]], 0
     while level.size:
         depth += 1
+        depths[tree_of[level]] = depth
         level = children.reshape(-1, 2)[level].ravel()
         level = level[inner[level]]
-    return roots, np.where(inner, feature, 0), threshold, children, value, depth
+    order = np.argsort(-depths, kind="stable")
+    walking = len(trees) - np.cumsum(np.bincount(depths))[:-1]
+    return order, starts[order], np.where(inner, feature, 0), threshold, children, value, walking
 
 
 def _walk(table, n_features, X):
     """Route every row of X through every tree of a :func:`_node_table`.
 
     A row goes left where ``x[feature] <= threshold``, so NaN goes right.
-    Returns the (trees, n) leaf values reached. Rows are walked in chunks
-    of at most ``_BATCH_CELLS`` (tree, row) cells, so the index arrays stay
-    small for any n.
+    Returns the (trees, n) leaf values reached, in the trees' given order.
+    Rows are walked in chunks of at most ``_BATCH_CELLS`` (tree, row)
+    cells, so the index arrays stay small for any n. The cells are
+    tree-major with the deepest trees first, so step s moves the prefix of
+    cells whose trees are deeper than s, and each tree stops at its depth.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != n_features:
         raise ValueError(f"expected (n, {n_features}) features, got shape {X.shape}")
-    roots, feature, threshold, children, value, depth = table
+    order, roots, feature, threshold, children, value, walking = table
     n, d = X.shape
     out = np.empty((len(roots), n))
     step = max(1, _BATCH_CELLS // len(roots))
@@ -206,10 +224,11 @@ def _walk(table, n_features, X):
         # offset in x.
         node = np.repeat(roots, m)
         offset = np.tile(np.arange(m) * d, len(roots))
-        for _ in range(depth):
-            go_right = ~(x[offset + feature[node]] <= threshold[node])
-            node = children[2 * node + go_right]
-        out[:, start : start + m] = value[node].reshape(len(roots), m)
+        for trees in walking:
+            moving = node[: trees * m]
+            goes_left = x[offset[: trees * m] + feature[moving]] <= threshold[moving]
+            moving[:] = children[2 * moving + goes_left]
+        out[order, start : start + m] = value[node].reshape(len(roots), m)
     return out
 
 
@@ -291,7 +310,10 @@ def _best_splits(keys, zb, sizes, distinct, shift, min_leaf):
     n_right = sizes[:, None] - n_left
     short = n_right < min_leaf
     n_right[short] = min_leaf  # any positive count: keeps masked cuts finite
-    sum_left, sq_left = sums.real[:, :, lo:hi], sums.imag[:, :, lo:hi]
+    # Unit-stride copies of the cut range for the passes below.
+    sum_left = np.ascontiguousarray(sums.real[:, :, lo:hi])
+    sq_left = np.ascontiguousarray(sums.imag[:, :, lo:hi])
+    del sums
     # The children SSE in place, in two buffers, as ((sq_left - sum_left**2 /
     # n_left) + (total_sq - sq_left)) - (total_sum - sum_left)**2 / n_right.
     sse = np.multiply(sum_left, sum_left)
@@ -303,7 +325,7 @@ def _best_splits(keys, zb, sizes, distinct, shift, min_leaf):
     right *= right
     right /= n_right
     sse -= right
-    del sums, sum_left, sq_left
+    del sum_left, sq_left
     masked = ranks[:, :, lo:hi] == ranks[:, :, lo + 1 : hi + 1]
     masked |= short
     # Add +inf to the masked cuts and 0 to the rest: the mask times +inf's bits.
@@ -319,7 +341,9 @@ def _best_splits(keys, zb, sizes, distinct, shift, min_leaf):
     cut = np.minimum(cut + lo, sizes - 2)
     below = distinct[feat, ranks[feat, nodes, cut]]
     above = distinct[feat, ranks[feat, nodes, cut + 1]]
-    return found, feat, (below + above) / 2.0
+    # A midpoint that rounds up to `above` would send both values left.
+    middle = (below + above) / 2.0
+    return found, feat, np.where(middle == above, below, middle)
 
 
 def _search_runs(sizes, d):
@@ -473,9 +497,12 @@ class Ensemble:
 
     Member ``i`` was trained on the bag
     ``bagging_sample(n, derive_seed(seed, i))`` (see :func:`generate_ensemble`).
+    ``individual`` is the single-regressor baseline on the whole training
+    set when it was grown with the members, else None; it is not a member.
     """
 
     members: tuple
+    individual: RegressionTree | None = None
 
     @functools.cached_property
     def _table(self):
@@ -502,6 +529,8 @@ def generate_ensemble(
     n_members: int,
     params: TreeParams | None = None,
     seed: int = 0,
+    *,
+    individual: bool = False,
 ) -> Ensemble:
     """Train ``n_members`` regressors on bagged resamples of the training set.
 
@@ -509,7 +538,11 @@ def generate_ensemble(
     so members are independent, order-stable, and reproducible per
     (seed, i): a member equals :func:`fit_individual` on its bag's rows.
     Every bag has exactly the training-set size, drawn with replacement.
-    All members are grown together, level by level.
+    All members are grown together, level by level. With ``individual``,
+    the identity bag joins them as one more tree, grown in the same pass,
+    and the ensemble carries it as ``individual``: :func:`fit_individual`'s
+    tree bit for bit, since no node's split depends on the nodes it shares
+    a batch with.
 
     Raises DatasetError when ``(n * max|y|)**2`` or ``2 * max|x|`` is not
     finite: the split sums or the thresholds would overflow float64.
@@ -520,5 +553,9 @@ def generate_ensemble(
     y = np.asarray(targets, dtype=float)
     _check_training_set(X, y)
     n = X.shape[0]
-    bags = np.stack([bagging_sample(n, derive_seed(seed, i)) for i in range(n_members)])
-    return Ensemble(tuple(_grow_trees(X, y, bags, params or TreeParams())))
+    bags = [bagging_sample(n, derive_seed(seed, i)) for i in range(n_members)]
+    if individual:
+        bags.append(np.arange(n))
+    bags = np.stack(bags)
+    trees = _grow_trees(X, y, bags, params or TreeParams())
+    return Ensemble(tuple(trees[:n_members]), trees[n_members] if individual else None)

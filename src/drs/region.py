@@ -139,8 +139,9 @@ def find_neighbors(x, reference_features, k: int):
     if not np.isfinite(distances).all():
         largest = max(float(np.abs(ref).max()), float(np.abs(x).max()))
         raise DatasetError(
-            f"features reach |x| = {largest:.6g}; the neighbour distances "
-            "overflow float64, try --normalize global"
+            f"features reach |x| = {largest:.6g}; the neighbour distances overflow "
+            "float64 (--normalize global scales the training features, but a query "
+            "far outside their range overflows even after normalisation)"
         )
     return nearest, distances
 

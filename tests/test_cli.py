@@ -216,7 +216,31 @@ class TestExitCodes:
         assert "query" not in captured.out
         assert re.search(
             r"features reach \|x\| = \d\.\d+e\+15\d; the neighbour distances overflow "
-            r"float64, try --normalize global", captured.err
+            r"float64 \(--normalize global scales", captured.err
+        )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("normalize", ["global", "none"])
+    def test_a_query_far_outside_the_training_range(self, normalize, tmp_path, capsys):
+        # Column 0 spans 1e-200, so global scaling takes the query cell 1e-40
+        # to 1e160, whose squared distance overflows; unscaled, it does not.
+        data = write_csv(tmp_path / "train.csv", [[1e-200], [0.0]], [1.0, 2.0])
+        query = tmp_path / "query.csv"
+        query.write_text("1e-40\n")
+        code = main(["predict", "--train", str(data), "--query", str(query), "--k", "1",
+                     "--members", "2", "--algo", "ds", "--normalize", normalize])
+        captured = capsys.readouterr()
+        if normalize == "none":
+            assert code == 0
+            assert captured.out == "query 0: 1.500000  (m3: selected member 0)\n"
+            return
+        assert code == 1
+        assert captured.out == ""
+        assert "try --normalize global" not in captured.err
+        assert re.search(
+            r"features reach \|x\| = 1e\+160; the neighbour distances overflow float64 "
+            r"\(--normalize global scales the training features, but a query far outside "
+            r"their range overflows even after normalisation\)", captured.err
         )
 
     @pytest.mark.parametrize("command", ["bench", "predict", "inspect"])

@@ -42,7 +42,7 @@ from drs import learners
 from drs.bench import RunConfig
 from drs.cli import main
 from drs.datasets import kfold_split, load_csv, normalize_minmax
-from drs.learners import TreeParams, fit_individual, generate_ensemble
+from drs.learners import TreeParams, generate_ensemble
 from drs.rng import derive_seed
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -113,14 +113,15 @@ def first_fold_ensemble(n_members=25):
 
 def trees_sha256(config, n_folds) -> str:
     """Hash the tree dumps of the first ``n_folds`` folds under ``config``:
-    each fold's ensemble members, in member order, then its individual tree."""
+    each fold's ensemble members, in member order, then its individual tree.
+    Each fold grows both in one call, as ``drs bench`` does."""
     digest = hashlib.sha256()
     for train, seed in list(housing_folds(config))[:n_folds]:
         ensemble = generate_ensemble(
-            train.features, train.targets, config.n_members, config.tree_params, seed
+            train.features, train.targets, config.n_members, config.tree_params, seed,
+            individual=True,
         )
-        single = fit_individual(train.features, train.targets, config.tree_params)
-        for tree in (*ensemble.members, single):
+        for tree in (*ensemble.members, ensemble.individual):
             digest.update((tree.to_text() + "\n").encode())
     return digest.hexdigest()
 

@@ -28,8 +28,9 @@ def reference_best_split(X, y, min_leaf):
     """One node's split search, the reference for the batched kernel.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
-    values of each feature; children SSE is computed for every candidate at
-    once from cumulative sums. Ties on gain resolve to the lowest feature
+    values of each feature, or the smaller value where the midpoint rounds
+    to the larger; children SSE is computed for every candidate at once
+    from cumulative sums. Ties on gain resolve to the lowest feature
     index, then the lowest threshold. Returns None if no split helps.
     """
     m = X.shape[0]
@@ -63,8 +64,9 @@ def reference_best_split(X, y, min_leaf):
     col_best = children_sse.min(axis=0)
     feat = int(np.flatnonzero(col_best == best)[0])
     rows = np.flatnonzero(children_sse[:, feat] == best)
-    thresholds = (xs[rows, feat] + xs[rows + 1, feat]) / 2.0
-    return feat, float(thresholds.min())
+    below, above = xs[rows, feat], xs[rows + 1, feat]
+    thresholds = (below + above) / 2.0
+    return feat, float(np.where(thresholds == above, below, thresholds).min())
 
 
 def reference_fit_tree(features, targets, params=None):
@@ -436,6 +438,17 @@ class TestFitTree:
         want = "node 0 0.5\nleaf 1.0\nnode 1 -0.25\nleaf 2.0\nleaf 3.0"
         assert level_order.to_text() == permuted.to_text() == want
 
+    def test_a_midpoint_that_rounds_up_takes_the_smaller_value(self):
+        # (1 + 2**-52 + 1 + 2**-51) / 2 rounds to 1 + 2**-51, the larger
+        # value, which would send every row left.
+        X = np.array([[1 + 2**-52], [1 + 2**-51], [1 + 2**-52], [1 + 2**-51]])
+        y = np.array([0.0, 1.0, 0.0, 1.0])
+        params = TreeParams(2, 1)
+        tree = fit_individual(X, y, params)
+        assert tree.to_text() == f"node 0 {1 + 2**-52!r}\nleaf 0.0\nleaf 1.0"
+        assert tree.to_text() == reference_fit_tree(X, y, params).to_text()
+        assert tree.predict(X).tolist() == y.tolist()
+
     def test_individual_equals_plain_fit(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(30, 2))
@@ -489,6 +502,17 @@ class TestLevelWiseBuilder:
             inner = tree.feature >= 0
             assert np.isnan(tree.value[inner]).all()
             assert not np.isnan(tree.value[~inner]).any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree_problems(), st.integers(1, 4))
+    def test_the_individual_tree_grows_with_the_members(self, problem, n_members):
+        X, y, params, seed = problem
+        joint = generate_ensemble(X, y, n_members, params, seed, individual=True)
+        plain = generate_ensemble(X, y, n_members, params, seed)
+        assert plain.individual is None
+        assert [t.to_text() for t in joint.members] == [t.to_text() for t in plain.members]
+        want = reference_fit_tree(X, y, params).to_text()
+        assert joint.individual.to_text() == fit_individual(X, y, params).to_text() == want
 
     def test_bags_narrower_than_the_training_set(self):
         # The padding row follows the training set's len(y) rows whatever
@@ -573,6 +597,16 @@ class TestLevelWiseBuilder:
             assert visited == list(range(tree.n_nodes))
 
 
+def _tree_depth(tree):
+    """The number of edges on the tree's longest root-to-leaf path."""
+    depth, level = 0, [0]
+    while True:
+        level = [c for i in level if tree.feature[i] >= 0 for c in (tree.left[i], tree.right[i])]
+        if not level:
+            return depth
+        depth += 1
+
+
 @st.composite
 def walk_problems(draw):
     """Trees and probe rows. The trees are an ensemble's, grown breadth
@@ -600,7 +634,7 @@ def walk_problems(draw):
 
 def test_fold_fit_peak_memory():
     # A 100-member fit of a housing training fold (455 rows) peaks near
-    # 2.7 MB; the guard keeps the split kernel's temporaries from growing
+    # 2.6 MB; the guard keeps the split kernel's temporaries from growing
     # toward the benchmark's resident-memory figure.
     data = normalize_minmax(load_csv(DATA_DIR / "housing.csv"))[0]
     train = data.subset(kfold_split(data.n_instances, 10, 0)[0].train_indices)
@@ -626,6 +660,30 @@ class TestWalk:
         assert every.tobytes() == np.array(want).tobytes()
         for got, row in zip(alone, want):
             assert got.tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("case", ["leaves among deep trees", "all leaves", "shallowest first"])
+    @pytest.mark.parametrize("cells", [1, learners._BATCH_CELLS])
+    def test_each_tree_stops_at_its_depth(self, case, cells):
+        # The walk takes the trees deepest first and stops each at its own
+        # depth; the rows must still come back in member order.
+        rng = np.random.default_rng(17)
+        X = rng.integers(0, 6, size=(50, 3)).astype(float)
+        y = np.round(rng.normal(size=50), 1)
+        deep = list(generate_ensemble(X, y, 4, TreeParams(2, 1), 3).members)
+        leaves = [RegressionTree([-1], [np.nan], [-1], [-1], [v], 3) for v in (0.5, -2.0, 7.0)]
+        trees = {
+            "leaves among deep trees": [leaves[0], deep[0], leaves[1], deep[1], deep[2], leaves[2]],
+            "all leaves": leaves,
+            "shallowest first": [leaves[0], *sorted(deep, key=_tree_depth)],
+        }[case]
+        if case == "shallowest first":
+            depths = [_tree_depth(tree) for tree in trees]
+            assert depths == sorted(depths) and depths[0] < depths[-1]
+        probes = np.vstack([X, rng.uniform(-1, 7, size=(20, 3)), [[np.nan, np.inf, -np.inf]]])
+        want = np.array([reference_predict(tree, probes) for tree in trees])
+        with mock.patch.object(learners, "_BATCH_CELLS", cells):
+            got = Ensemble(tuple(trees)).predict_all(probes)
+        assert got.tobytes() == want.tobytes()
 
     def test_nan_goes_right_and_a_threshold_left(self):
         probes = np.array([[np.nan, 0.0], [0.5, np.nan], [1.0, -0.25], [np.inf, np.nan]])
