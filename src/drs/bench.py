@@ -129,14 +129,16 @@ class RunResult:
 
 
 def mse(predictions, targets) -> float:
-    """Mean squared error; lengths must match and be nonzero."""
+    """Mean squared error; lengths must match and be nonzero. An error too
+    large for float64 gives inf without a warning: the caller reports it."""
     p = np.asarray(predictions, dtype=float)
     t = np.asarray(targets, dtype=float)
     if p.shape != t.shape or p.ndim != 1:
         raise ValueError(f"length mismatch: {p.shape} vs {t.shape}")
     if p.size == 0:
         raise ValueError("mse of empty vectors")
-    return float(np.mean((p - t) ** 2))
+    with np.errstate(over="ignore"):
+        return float(np.mean((p - t) ** 2))
 
 
 def summarize(values) -> tuple[float, float]:
@@ -469,6 +471,13 @@ def render_table(result: RunResult) -> str:
     return out.getvalue()
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_outputs(result: RunResult, out_dir) -> list[Path]:
     """Write results.csv, wtl.csv, diff_m7.csv (when the run has m7),
     table.txt, and agreement_m3_m7.csv (when the run tracked it). An optional
@@ -477,50 +486,35 @@ def write_outputs(result: RunResult, out_dir) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     config = result.config
-    written = []
+    stats = aggregate(result)
+    _write_csv(
+        out / "results.csv",
+        ["dataset", "algorithm", "measure", "mse_mean", "mse_std", "scale"],
+        ([name, algo, m, *map(repr, stats[(name, algo, m)]), config.scale]
+         for name in result.dataset_names for algo, m in config.method_keys()),
+    )
+    _write_csv(
+        out / "wtl.csv",
+        ["method", "win", "tie", "loss"],
+        ([label, *counts] for label, counts in win_tie_loss(result).items()),
+    )
+    written = [out / "results.csv", out / "wtl.csv"]
 
-    path = out / "results.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset", "algorithm", "measure", "mse_mean", "mse_std", "scale"])
-        stats = aggregate(result)
-        for name in result.dataset_names:
-            for algo, m in config.method_keys():
-                mean, std = stats[(name, algo, m)]
-                writer.writerow([name, algo, m, repr(mean), repr(std), config.scale])
-    written.append(path)
-
-    path = out / "wtl.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "win", "tie", "loss"])
-        for label, (w, t, l) in win_tie_loss(result).items():
-            writer.writerow([label, w, t, l])
-    written.append(path)
-
-    diffs = diff_vs_m7(result)
-    path = out / "diff_m7.csv"
-    if diffs:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["dataset", "algorithm", "best_measure", "m7_minus_best"])
-            for row in diffs:
-                writer.writerow(list(row))
-        written.append(path)
-    else:
-        path.unlink(missing_ok=True)
-
-    path = out / "agreement_m3_m7.csv"
-    if result.agreement:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["dataset", "replication", "ds_winner_agreement"])
-            for name in result.dataset_names:
-                for rep, rate in enumerate(result.agreement[name]):
-                    writer.writerow([name, rep, repr(rate)])
-        written.append(path)
-    else:
-        path.unlink(missing_ok=True)
+    optional = [
+        ("diff_m7.csv", ["dataset", "algorithm", "best_measure", "m7_minus_best"],
+         diff_vs_m7(result)),
+        ("agreement_m3_m7.csv", ["dataset", "replication", "ds_winner_agreement"],
+         [[name, rep, repr(rate)]
+          for name in result.dataset_names
+          for rep, rate in enumerate(result.agreement.get(name, ()))]),
+    ]
+    for name, header, rows in optional:
+        path = out / name
+        if rows:
+            _write_csv(path, header, rows)
+            written.append(path)
+        else:
+            path.unlink(missing_ok=True)
 
     path = out / "table.txt"
     path.write_text(render_table(result))

@@ -20,14 +20,16 @@ Every option defaults to the library's value (``RunConfig()``, its
 ``TreeParams()`` and the fixed seed), so repeated runs are byte-identical.
 ``drs <command> @FILE`` reads arguments from FILE, one per line, as if they
 stood in its place: a later flag wins, and its ``--data`` lines add to the
-others. Exit codes: 0 on success, 1 for unreadable or malformed files, 2
-for invalid arguments.
+others. Exit codes: 0 on success, 1 for unreadable or malformed files (or
+an output pipe its reader closed, which prints nothing), 2 for invalid
+arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from collections import Counter
 
@@ -387,6 +389,11 @@ def main(argv=None) -> int:
     except CliArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull so that the
+        # interpreter's last flush stays quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (DatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,13 +3,16 @@
 import contextlib
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import synthetic_dataset, write_csv
+from conftest import DATA_DIR, synthetic_dataset, write_csv
 from drs.bench import ALGORITHMS, RunConfig
 from drs.cli import CliArgumentError, main, parse_algorithms, parse_measures
 from drs.datasets import load_csv
@@ -130,6 +133,28 @@ class TestExitCodes:
         with pytest.raises(SystemExit):
             main(["reticulate"])
 
+    def test_a_closed_output_pipe_prints_nothing(self, tmp_path):
+        # 5,000 rows of output fill the pipe, so the reader closes it while
+        # drs is still writing.
+        housing = DATA_DIR / "housing.csv"
+        rows = np.resize(load_csv(housing).features, (5000, 13)).tolist()
+        query = tmp_path / "query.csv"
+        query.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+        src = str(DATA_DIR.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "drs", "predict", "--train", str(housing), "--query", str(query),
+             "--members", "5"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"query 0: ")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert err == b""
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("jobs", [1, 2], ids=["jobs1", "jobs2"])
     def test_non_finite_mse_fails_the_run(self, jobs, tmp_path, capsys):
@@ -147,6 +172,24 @@ class TestExitCodes:
         assert re.search(r"targets reach \|y\| = \d\.\d+e\+160", err)
         assert "--normalize global" in err
         assert not (out / "results.csv").exists()
+
+    def test_fold_targets_that_overflow_when_scaled_give_one_message(self, tmp_path, capsys):
+        # Fold 2 trains on targets that span about 2e-155 and tests on -1.0,
+        # which scales to about -1e155 and squares to inf in the fold MSE.
+        data = tmp_path / "t.csv"
+        data.write_text(
+            "0.6666666666666666,3.333333333333333e-156\n0.0,-6.666666666666667e-156\n"
+            "-0.3333333333333333,-1e-155\n-1.0,-1e-155\n"
+            "-0.6666666666666666,6.666666666666667e-156\n0.3333333333333333,-1.0\n"
+        )
+        code = main(
+            ["bench", "--data", str(data), "--folds", "2", "--reps", "1", "--k", "1",
+             "--members", "1", "--algo", "single", "--normalize", "fold",
+             "--min-parent-size", "2", "--min-leaf-size", "1", "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert re.fullmatch(r"error: t: single has a non-finite MSE on fold \d of 2; .*\n",
+                            capsys.readouterr().err)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command, jobs", [
@@ -360,6 +403,51 @@ def extreme_predict_runs(draw):
     return cells[:n], cells[n:, :d], argv
 
 
+@st.composite
+def extreme_inspect_runs(draw):
+    """``drs inspect`` arguments over ``extreme_predict_runs``' training file:
+    a drawn held-out row and ``--k`` from 1 to n - 1."""
+    train, _, flags = draw(extreme_predict_runs())
+    n = len(train)
+    argv = [
+        "--normalize", draw(st.sampled_from(("global", "none"))),
+        "--row", str(draw(st.integers(0, n - 1))),
+        "--k", str(draw(st.integers(1, n - 1))),
+        "--members", flags[flags.index("--members") + 1],
+        "--min-parent-size", "2", "--min-leaf-size", "1",
+    ]
+    return train, argv
+
+
+@st.composite
+def extreme_bench_runs(draw):
+    """``drs bench`` arguments over ``extreme_predict_runs``' training file:
+    every normalisation, 2 to min(n, 4) folds, one replication and k 1 or 2."""
+    train, _, flags = draw(extreme_predict_runs())
+    argv = [
+        "--normalize", draw(st.sampled_from(("global", "fold", "none"))),
+        "--folds", str(draw(st.integers(2, min(len(train), 4)))),
+        "--reps", "1", "--k", str(draw(st.integers(1, 2))), "--measures", "m2..m8",
+        "--scale", "raw",
+        "--members", flags[flags.index("--members") + 1],
+        "--min-parent-size", "2", "--min-leaf-size", "1",
+    ]
+    return train, argv
+
+
+NUMBER = re.compile(r"[-+]?(?:\d+(?:\.\d*)?(?:e[-+]?\d+)?|\b(?:nan|inf)\b)", re.IGNORECASE)
+
+
+def all_finite(text) -> bool:
+    """Whether every number printed in ``text`` is finite."""
+    return all(math.isfinite(float(token)) for token in NUMBER.findall(text))
+
+
+def assert_one_error_line(code, err):
+    assert code in (1, 2)
+    assert re.fullmatch(r"error: \S.*\n", err)
+
+
 class TestExtremeInputs:
     @settings(max_examples=100, deadline=None)
     @given(extreme_predict_runs(), st.sampled_from(("global", "none")))
@@ -380,8 +468,46 @@ class TestExtremeInputs:
             assert len(values) == len(query)
             assert all(math.isfinite(float(v)) for v in values)
         else:
-            assert code in (1, 2)
-            assert re.fullmatch(r"error: \S.*\n", err.getvalue())
+            assert_one_error_line(code, err.getvalue())
+
+    @settings(max_examples=50, deadline=None)
+    @given(extreme_inspect_runs())
+    def test_inspect_gives_finite_values_or_fails_with_a_message(self, tmp_path_factory, run):
+        train, flags = run
+        workdir = tmp_path_factory.mktemp("extreme")
+        data = write_csv(workdir / "train.csv", train[:, :-1], train[:, -1])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["inspect", "--data", str(data), *flags])
+        if code != 0:
+            assert_one_error_line(code, err.getvalue())
+            return
+        text = out.getvalue().replace(str(data), "")
+        if flags[flags.index("--k") + 1] == "1":
+            # m1 needs two neighbours; its column reads nan.
+            text, n_nan = re.subn(r"(?m)^(  +\d+  +)nan ", r"\1", text)
+            assert n_nan == int(flags[flags.index("--members") + 1])
+        assert all_finite(text)
+
+    @settings(max_examples=50, deadline=None)
+    @given(extreme_bench_runs())
+    def test_bench_gives_finite_values_or_fails_with_a_message(self, tmp_path_factory, run):
+        train, flags = run
+        workdir = tmp_path_factory.mktemp("extreme")
+        data = write_csv(workdir / "train.csv", train[:, :-1], train[:, -1])
+        out_dir = workdir / "out"
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["bench", "--data", str(data), "--out", str(out_dir), *flags])
+        if code != 0:
+            assert_one_error_line(code, err.getvalue())
+            return
+        written = sorted(out_dir.iterdir())
+        assert [p.name for p in written] == [
+            "agreement_m3_m7.csv", "diff_m7.csv", "results.csv", "table.txt", "wtl.csv"
+        ]
+        assert all_finite(out.getvalue().replace(str(out_dir), ""))
+        assert all(all_finite(p.read_text()) for p in written)
 
 
 class TestBench:
