@@ -182,8 +182,10 @@ def predict_queries(keys, reference_X, reference_y, query_X, k, ensemble, indivi
     answered, so only one block's (N, B) member predictions are held, and
     the mean and median baselines are taken per block. The dynamic
     algorithms score the members over the k nearest reference rows, once
-    per measure and block; every row comes out bit for bit as it would in
-    a block of its own, or from predicting every query row at once.
+    per measure and block. Every per-query sum, here and in the measures
+    and combiners, runs in numpy's own loop over that query's row of a
+    C-contiguous (B, ...) block, never through BLAS, so every row comes out
+    bit for bit as it would in a block of its own, whatever the BLAS kernel.
     ``ensemble`` may be None when ``keys`` holds only ``("single", "")``,
     and ``individual`` is needed only for that key. A generator, so only
     one block's provenance is kept.
@@ -193,21 +195,10 @@ def predict_queries(keys, reference_X, reference_y, query_X, k, ensemble, indivi
         reference_predictions = ensemble.predict_all(reference_X)
     n_members = 0 if ensemble is None else ensemble.n_members
     block = _block_rows(reference_X, k if measures else 1, n_members)
-    # Block b's (N, B) member predictions fill the first B columns of one
-    # buffer. Its rows hold two or more queries unless the query set holds
-    # one, like the (N, n_query) matrix of every query's, so each query's
-    # member axis has the same kind of stride at any B and the products and
-    # sums round alike. It starts at zero: every column a sum reads is finite.
-    member_qpreds = np.zeros((n_members, min(max(block, 2), len(query_X))))
     for start in range(0, len(query_X), block):
         rows = query_X[start : start + block]
-        n = len(rows)
         if ensemble is not None:
-            member_qpreds[:, :n] = ensemble.predict_all(rows)
-            qp = member_qpreds[:, :n].T
-            # numpy sums one column alone pairwise, but the columns of a
-            # matrix row by row, so a one-row block takes a second column.
-            reduced = member_qpreds[:, : max(n, 2)]
+            qp = np.ascontiguousarray(ensemble.predict_all(rows).T)
         if measures:
             region = build_region(rows, reference_X, reference_y, reference_predictions, k)
             scores = {m: score_all(m, region, qp) for m in measures}
@@ -223,9 +214,9 @@ def predict_queries(keys, reference_X, reference_y, query_X, k, ensemble, indivi
             elif algo == "single":
                 answers[(algo, m)] = (individual.predict(rows), None)
             elif algo == "mean":
-                answers[(algo, m)] = (reduced.mean(axis=0)[:n], None)
+                answers[(algo, m)] = (qp.mean(axis=1), None)
             else:
-                answers[(algo, m)] = (np.median(reduced, axis=0)[:n], None)
+                answers[(algo, m)] = (np.median(qp, axis=1), None)
         yield start, answers
 
 

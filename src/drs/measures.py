@@ -19,8 +19,11 @@ normalized inverse-distance weight of neighbor k, member n scores:
     m7  sum_k sqrt((f(t_k) - fh_n(t_k))^2 * d_k)
     m8  (f(t_1) - fh_n(t_1))^2 on the nearest neighbor only, unweighted
 
-The region of a block of B queries scores to a (B, N) matrix, each row bit
-for bit the score vector of that query's region in a block of its own.
+The region of a block of B queries scores to a (B, N) matrix. Each sum
+over the K neighbours runs in numpy's own loop over one query's row of
+the block, the weighted ones through ``np.einsum``, never a BLAS product,
+so each row is bit for bit the score vector of that query's region in a
+block of its own, whatever the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -54,17 +57,14 @@ def score_all(
         )
     observed = region.observed[..., None, :]
     d = region.d_weights[..., None, :]
-    # The weighted sums are matrix-vector products, (N, K) @ (K, 1) per
-    # query, which round the same whether or not a batch axis leads.
-    d_column = region.d_weights[..., None]
     if mid == "m1":
         if region.k < 2:
             raise ValueError("m1 needs at least 2 neighbors")
         scores = np.var(preds, axis=-1, ddof=1)
     elif mid == "m2":
-        scores = (np.abs(observed - preds) @ d_column)[..., 0]
+        scores = np.einsum("...nk,...k->...n", np.abs(observed - preds), region.d_weights)
     elif mid == "m3":
-        scores = (((observed - preds) ** 2) @ d_column)[..., 0]
+        scores = np.einsum("...nk,...k->...n", (observed - preds) ** 2, region.d_weights)
     elif mid == "m4":
         scores = ((observed - preds) ** 2 * d).min(axis=-1)
     elif mid == "m5":
@@ -78,7 +78,7 @@ def score_all(
                 f"query_predictions must have one entry per member "
                 f"({region.n_members}), got shape {qp.shape}"
             )
-        scores = (((observed - qp[..., None]) ** 2) @ d_column)[..., 0]
+        scores = np.einsum("...nk,...k->...n", (observed - qp[..., None]) ** 2, region.d_weights)
     elif mid == "m7":
         scores = np.sqrt((observed - preds) ** 2 * d).sum(axis=-1)
     elif mid == "m8":

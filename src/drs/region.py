@@ -170,8 +170,5 @@ def build_region(
     ref_y = np.asarray(reference_targets, dtype=float)
     indices, distances = find_neighbors(x, reference_features, k)
     weights = inverse_distance_weights(distances)
-    member_preds = np.asarray(reference_predictions, dtype=float)[:, indices]
-    # A view, not a copy: each query's (N, K) slice keeps one memory order
-    # whatever the block size, and with it the rounding of the measures' sums.
-    member_preds = np.moveaxis(member_preds, 0, -2)
+    member_preds = np.moveaxis(np.asarray(reference_predictions, dtype=float)[:, indices], 0, -2)
     return RegionOfCompetence(indices, distances, weights, ref_y[indices], member_preds)

@@ -8,8 +8,9 @@ survivors. The static mean and median baselines ignore competence and
 need no combiner of their own (see ``bench.predict_queries``).
 
 Every combiner takes a block's (B, N) scores and member predictions, one
-row per query, and answers each row bit for bit as it would in a block of
-its own.
+row per query, as C-contiguous arrays, and sums each row in numpy's own
+loop, never through BLAS, so it answers each row bit for bit as it would in
+a block of its own, whatever the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ class MemberWeights:
 
 
 def _block(name: str, values) -> np.ndarray:
-    """``values`` as a float (B, N) block; a ValueError names any other shape."""
-    block = np.asarray(values, dtype=float)
+    """``values`` as a C-contiguous float (B, N) block; a ValueError names any
+    other shape."""
+    block = np.ascontiguousarray(values, dtype=float)
     if block.ndim != 2:
         raise ValueError(f"{name} must be a (B, N) block, one row per query, got {block.shape}")
     return block
@@ -56,20 +58,22 @@ def ds_predict(scores, query_predictions):
     return np.take_along_axis(preds, winner[:, None], axis=1)[:, 0], winner
 
 
-def _inverse_sqrt(s: np.ndarray, members) -> np.ndarray:
-    """1/sqrt(score), with the zero-score rule folded in.
+def _weights(s: np.ndarray, kept: np.ndarray) -> MemberWeights:
+    """Each row's kept members weighted by 1/sqrt(score), normalised over
+    them; every other member gets 0.
 
-    In a row where a member of ``members`` scores below 1e-12, those
-    members get 1 and every other member 0 (1/sqrt(inf)), so normalising
-    the row splits the weight uniformly over them.
+    In a row where a kept member scores below 1e-12, those members get 1
+    and every other member 0 (1/sqrt(inf)), so the weight splits uniformly
+    over them.
     """
     if np.any(s < 0):
         raise ValueError("scores must be nonnegative")
-    zero = (s < ZERO_SCORE_TOL) & members
-    exact = zero.any(axis=-1, keepdims=True)
+    zero = (s < ZERO_SCORE_TOL) & kept
+    exact = zero.any(axis=1, keepdims=True)
     if exact.any():
         s = np.where(exact, np.where(zero, 1.0, np.inf), s)
-    return 1.0 / np.sqrt(s)
+    inv = np.where(kept, 1.0 / np.sqrt(s), 0.0)
+    return MemberWeights(inv / inv.sum(axis=1, keepdims=True), kept)
 
 
 def dw_weights(scores) -> MemberWeights:
@@ -81,17 +85,15 @@ def dw_weights(scores) -> MemberWeights:
     to positive rescaling of the score vector while every score stays at or
     above 1e-12. The (B, N) block is weighted row by row.
     """
-    # C order, so each row's sum runs over contiguous memory at any block size.
-    s = np.ascontiguousarray(_block("scores", scores))
-    inv = _inverse_sqrt(s, True)
-    return MemberWeights(inv / inv.sum(axis=-1, keepdims=True), np.ones(s.shape, dtype=bool))
+    s = _block("scores", scores)
+    return _weights(s, np.ones(s.shape, dtype=bool))
 
 
 def dw_predict(weights: MemberWeights, query_predictions):
     """Weighted mean of the member predictions at each query, (B,)."""
     alpha = _block("weights.alpha", weights.alpha)
     preds = _block("query_predictions", query_predictions)
-    return (alpha[:, None, :] @ preds[:, :, None])[:, 0, 0]
+    return (alpha * preds).sum(axis=1)
 
 
 def dws_predict(scores, query_predictions):
@@ -111,21 +113,5 @@ def dws_predict(scores, query_predictions):
     survivors = s <= tau
     empty = np.flatnonzero(~survivors.any(axis=1))
     survivors[empty, np.argmin(s[empty], axis=1)] = True
-    inv = _inverse_sqrt(s, survivors)
-    # A row's weights are normalised by the sum over its c survivors alone,
-    # and numpy sums c contiguous values in an order that depends on c, so
-    # rows are summed in groups of equal c, each on its compacted (rows, c)
-    # block: a masked sum over all N members would round differently.
-    counts = survivors.sum(axis=1)
-    order = np.argsort(counts, kind="stable")
-    kept = inv[order][survivors[order]]
-    totals = np.empty(len(s))
-    first = start = 0
-    for c, n_rows in zip(*np.unique(counts, return_counts=True)):
-        stop = start + c * n_rows
-        rows = order[first : first + n_rows]
-        totals[rows] = kept[start:stop].reshape(n_rows, c).sum(axis=1)
-        first += n_rows
-        start = stop
-    weights = MemberWeights(np.where(survivors, inv / totals[:, None], 0.0), survivors)
+    weights = _weights(s, survivors)
     return dw_predict(weights, query_predictions), weights

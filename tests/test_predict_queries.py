@@ -2,9 +2,10 @@
 
 ``reference_predict_queries`` is the per-query loop that ``predict_queries``
 ran before it answered blocks of queries, with the one-query region,
-measure and combiner arithmetic it called. ``predict_queries`` must
-reproduce it bit for bit on every row: predictions, DS winners and the
-DW/DWS weights and survivor sets.
+measure and combiner arithmetic it called. Each of its per-query sums runs
+in numpy's own loop over one query's values, as the block path's do.
+``predict_queries`` must reproduce it bit for bit on every row:
+predictions, DS winners and the DW/DWS weights and survivor sets.
 """
 
 import tracemalloc
@@ -42,25 +43,25 @@ def _score(mid, observed, d, preds, qp):
     if mid == "m1":
         return np.var(preds, axis=1, ddof=1)
     if mid == "m2":
-        return np.abs(observed - preds) @ d
+        return np.einsum("nk,k->n", np.abs(observed - preds), d)
     if mid == "m3":
-        return ((observed - preds) ** 2) @ d
+        return np.einsum("nk,k->n", (observed - preds) ** 2, d)
     if mid == "m4":
         return ((observed - preds) ** 2 * d).min(axis=1)
     if mid == "m5":
         return ((observed - preds) ** 2 * d).max(axis=1)
     if mid == "m6":
-        return ((observed[None, :] - qp[:, None]) ** 2) @ d
+        return np.einsum("nk,k->n", (observed[None, :] - qp[:, None]) ** 2, d)
     if mid == "m7":
         return np.sqrt((observed - preds) ** 2 * d).sum(axis=1)
     return (observed[0] - preds[:, 0]) ** 2
 
 
-def _dw_alpha(s):
-    zero = s < ZERO_SCORE_TOL
+def _dw_alpha(s, kept):
+    zero = (s < ZERO_SCORE_TOL) & kept
     if zero.any():
         return zero / zero.sum()
-    inv = 1.0 / np.sqrt(s)
+    inv = np.where(kept, 1.0 / np.sqrt(s), 0.0)
     return inv / inv.sum()
 
 
@@ -69,9 +70,8 @@ def _dws(s, qp):
     survivors = s <= tau
     if not survivors.any():
         survivors[np.argmin(s)] = True
-    alpha = np.zeros(len(s))
-    alpha[survivors] = _dw_alpha(s[survivors])
-    return float(alpha @ qp), (alpha, survivors)
+    alpha = _dw_alpha(s, survivors)
+    return float((alpha * qp).sum()), (alpha, survivors)
 
 
 def reference_predict_queries(keys, reference_X, reference_y, query_X, k, ensemble,
@@ -81,23 +81,19 @@ def reference_predict_queries(keys, reference_X, reference_y, query_X, k, ensemb
     winner for ds and ``(alpha, selected)`` for dw and dws."""
     if ensemble is not None:
         member_qpreds = ensemble.predict_all(query_X)
-    baselines = {}
     if ("single", "") in keys:
-        baselines[("single", "")] = individual.predict(query_X)
-    if ("mean", "") in keys:
-        baselines[("mean", "")] = member_qpreds.mean(axis=0)
-    if ("median", "") in keys:
-        baselines[("median", "")] = np.median(member_qpreds, axis=0)
+        single = individual.predict(query_X)
     measures = list(dict.fromkeys(m for a, m in keys if a in DYNAMIC_ALGORITHMS))
     if measures:
         reference_predictions = ensemble.predict_all(reference_X)
     for j in range(len(query_X)):
+        if ensemble is not None:
+            qp = member_qpreds[:, j]
         if measures:
             indices, distances = _neighbors(query_X[j], reference_X, k)
             d = _distance_weights(distances)
             observed = reference_y[indices]
             preds = reference_predictions[:, indices]
-            qp = member_qpreds[:, j]
             scores = {m: _score(m, observed, d, preds, qp) for m in measures}
         answers = {}
         for algo, m in keys:
@@ -105,12 +101,17 @@ def reference_predict_queries(keys, reference_X, reference_y, query_X, k, ensemb
                 winner = int(np.argmin(scores[m]))
                 answers[(algo, m)] = (float(qp[winner]), winner)
             elif algo == "dw":
-                alpha = _dw_alpha(scores[m])
-                answers[(algo, m)] = (float(alpha @ qp), (alpha, np.ones(len(alpha), bool)))
+                kept = np.ones(len(qp), bool)
+                alpha = _dw_alpha(scores[m], kept)
+                answers[(algo, m)] = (float((alpha * qp).sum()), (alpha, kept))
             elif algo == "dws":
                 answers[(algo, m)] = _dws(scores[m], qp)
+            elif algo == "single":
+                answers[(algo, m)] = (float(single[j]), None)
+            elif algo == "mean":
+                answers[(algo, m)] = (float(qp.mean()), None)
             else:
-                answers[(algo, m)] = (float(baselines[(algo, m)][j]), None)
+                answers[(algo, m)] = (float(np.median(qp)), None)
         yield answers
 
 
@@ -197,10 +198,10 @@ def test_housing_blocks_equal_one_query_reference():
 
 
 def test_one_row_blocks_round_as_every_query_at_once():
-    """Blocks of one row, alone and after blocks of three, with 30 members:
-    a one-row block's mean still sums the members in order, and its
-    weighted sums still meet a member axis with a non-unit stride, as when
-    every query row is predicted at once."""
+    """Blocks of one row, alone and after blocks of three, with 30 members,
+    enough for numpy's pairwise sum to group them: a one-row block sums
+    each query's members over a contiguous row as a block of three does,
+    so its mean, median and weighted sums round alike."""
     rng = np.random.default_rng(8)
     X, y = rng.random((40, 2)), rng.normal(size=40)
     Q = rng.random((7, 2))
