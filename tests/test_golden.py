@@ -5,6 +5,12 @@
 it byte-identical regenerates the file in its own commit and reports the
 largest absolute change of any MSE.
 
+The same bytes must come out under any BLAS kernel and with numpy's
+dispatched SIMD targets disabled: every per-query sum runs in numpy's own
+loop, never through BLAS. ``test_housing_results_match_golden_bytes_under_other_kernels``
+reruns the config in fresh processes under other OpenBLAS kernels
+(``OPENBLAS_CORETYPE``) and numpy CPU features (``NPY_DISABLE_CPU_FEATURES``).
+
 ``golden/housing.trees.sha256`` pins the trees of that run's first fold: the
 sha256 of the ``to_text()`` dumps of every ensemble member, in member order,
 followed by the fold's individual tree, each dump ending in a newline. A
@@ -35,6 +41,9 @@ the neighbour search's rounding bounds are loosest.
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from conftest import DATA_DIR
@@ -74,6 +83,16 @@ RAW_PREDICT_ALGORITHMS = ("ds", "dws")
 RAW_INSPECT_RUNS = (("--row", "42", "--members", "25", "--normalize", "none"),)
 
 
+def assert_golden_results(got: bytes, context=""):
+    want = GOLDEN.read_bytes()
+    changed = [
+        (g, w)
+        for g, w in zip(got.decode().splitlines(), want.decode().splitlines())
+        if g != w
+    ]
+    assert got == want, f"results.csv{context} differs from {GOLDEN.name}: {changed[:3]}"
+
+
 def test_housing_results_match_golden_bytes(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(
@@ -81,14 +100,37 @@ def test_housing_results_match_golden_bytes(tmp_path, capsys):
         + GOLDEN_ARGS
     )
     assert code == 0
-    got = (out / "results.csv").read_bytes()
-    want = GOLDEN.read_bytes()
-    changed = [
-        (g, w)
-        for g, w in zip(got.decode().splitlines(), want.decode().splitlines())
-        if g != w
-    ]
-    assert got == want, f"results.csv differs from {GOLDEN.name}: {changed[:3]}"
+    assert_golden_results((out / "results.csv").read_bytes())
+
+
+def kernel_environments() -> list[dict]:
+    """One environment per rerun: OpenBLAS's AVX2 (Haswell) and SSE3
+    (Prescott) kernels and, where numpy lists its dispatch targets, every
+    target this CPU supports disabled, down to numpy's baseline."""
+    envs = [{"OPENBLAS_CORETYPE": "Haswell"}, {"OPENBLAS_CORETYPE": "Prescott"}]
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        return envs
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    if targets:
+        envs.append({"NPY_DISABLE_CPU_FEATURES": " ".join(targets)})
+    return envs
+
+
+def test_housing_results_match_golden_bytes_under_other_kernels(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for i, extra in enumerate(kernel_environments()):
+        out = tmp_path / f"out{i}"
+        env = dict(os.environ, **extra)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "drs", "bench", "--data", str(DATA_DIR / "housing.csv"),
+             "--out", str(out), *GOLDEN_ARGS],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, (extra, proc.stderr)
+        assert_golden_results((out / "results.csv").read_bytes(), f" under {extra}")
 
 
 def housing_folds(config):
