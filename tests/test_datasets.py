@@ -19,6 +19,7 @@ from drs.datasets import (
     normalize_minmax,
     read_numeric_csv,
 )
+from drs.rng import make_rng
 
 
 class TestLoadCsv:
@@ -98,6 +99,19 @@ class TestLoadCsv:
         p.write_text("x,y,z\n1,2,3\n4,-inf,6\n7,abc,9\n")
         with pytest.raises(DatasetError, match=r"non-finite cell '-inf' at row 3, column 2"):
             read_numeric_csv(p)
+
+    def test_a_first_line_of_floats_is_data_even_with_nan(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("nan,1,2\n1,2,3\n")
+        with pytest.raises(DatasetError, match=r"non-finite cell 'nan' at row 1, column 1"):
+            read_numeric_csv(p)
+
+    def test_one_non_number_among_numbers_makes_the_header(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("1,x,3\n4,5,6\n")
+        values, header = read_numeric_csv(p)
+        assert header == ["1", "x", "3"]
+        assert values.tolist() == [[4.0, 5.0, 6.0]]
 
     def test_values_parse_exactly(self, tmp_path):
         p = tmp_path / "v.csv"
@@ -310,6 +324,28 @@ class TestKfold:
         for s in splits:
             combined = np.sort(np.concatenate([s.train_indices, s.test_indices]))
             assert np.array_equal(combined, np.arange(n))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=2, max_value=200),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_each_fold_tests_a_sorted_run_of_the_seeded_permutation(self, data, n, seed):
+        """The deal behind every golden fold: the seeded permutation cut into
+        runs whose first ``n % folds`` are one row longer."""
+        folds = data.draw(st.integers(min_value=2, max_value=min(n, 12)), label="folds")
+        perm = make_rng(seed).permutation(n).tolist()
+        splits = kfold_split(n, folds, seed)
+        assert [s.fold_id for s in splits] == list(range(folds))
+        start = 0
+        for f, split in enumerate(splits):
+            size = n // folds + (f < n % folds)
+            run = perm[start : start + size]
+            start += size
+            assert split.test_indices.tolist() == sorted(run)
+            assert split.train_indices.tolist() == sorted(set(range(n)) - set(run))
+        assert start == n
 
     def test_deterministic_per_seed(self):
         a = kfold_split(50, 5, 9)
