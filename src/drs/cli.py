@@ -71,49 +71,40 @@ def _require(condition: bool, message: str):
         raise CliArgumentError(message)
 
 
-def _measure_index(token: str) -> int:
-    token = token.strip().lower()
-    if token not in MEASURE_IDS:
-        raise CliArgumentError(f"unknown measure {token!r}; expected m1..m8")
-    return MEASURE_IDS.index(token)
+def _parse_names(listing, names, what) -> tuple[str, ...]:
+    """Parse a comma list of ``names``, ``all`` and ``a..b`` ranges.
+
+    Case is ignored, and a name given twice keeps its first place.
+    """
+    def index(token):
+        token = token.strip()
+        _require(token in names,
+                 f"unknown {what} {token!r}; expected one of {', '.join(names)}")
+        return names.index(token)
+
+    out = []
+    for part in str(listing).lower().split(","):
+        token = part.strip()
+        if token == "all":
+            out.extend(names)
+        elif token:
+            lo, dots, hi = token.partition("..")
+            first = index(lo)
+            last = index(hi) if dots else first
+            _require(first <= last, f"empty {what} range {token!r}")
+            out.extend(names[first : last + 1])
+    _require(bool(out), f"no {what}s in {listing!r}")
+    return tuple(dict.fromkeys(out))
 
 
 def parse_measures(listing) -> tuple[str, ...]:
     """'m2,m5..m7' -> ('m2', 'm5', 'm6', 'm7'); 'all' means every measure."""
-    out = []
-    for part in str(listing).split(","):
-        token = part.strip().lower()
-        if not token:
-            continue
-        if token == "all":
-            out.extend(MEASURE_IDS)
-        elif ".." in token:
-            lo, _, hi = token.partition("..")
-            lo_i, hi_i = _measure_index(lo), _measure_index(hi)
-            _require(lo_i <= hi_i, f"empty measure range {token!r}")
-            out.extend(MEASURE_IDS[lo_i : hi_i + 1])
-        else:
-            out.append(MEASURE_IDS[_measure_index(token)])
-    _require(bool(out), f"no measures in {listing!r}")
-    return tuple(dict.fromkeys(out))
+    return _parse_names(listing, MEASURE_IDS, "measure")
 
 
 def parse_algorithms(listing) -> tuple[str, ...]:
-    out = []
-    for part in str(listing).split(","):
-        token = part.strip().lower()
-        if not token:
-            continue
-        if token == "all":
-            out.extend(ALGORITHMS)
-        else:
-            _require(
-                token in ALGORITHMS,
-                f"unknown algorithm {token!r}; expected one of {', '.join(ALGORITHMS)}",
-            )
-            out.append(token)
-    _require(bool(out), f"no algorithms in {listing!r}")
-    return tuple(dict.fromkeys(out))
+    """'mean..ds,dws' -> ('mean', 'median', 'ds', 'dws'); 'all' means every algorithm."""
+    return _parse_names(listing, ALGORITHMS, "algorithm")
 
 
 def _int_or_name(raw: str):
@@ -136,6 +127,15 @@ def _tree_params(ns) -> TreeParams:
 def _require_sizes(ns):
     _require(ns.k >= 1, f"--k must be >= 1 (got {ns.k})")
     _require(ns.members >= 1, f"--members must be >= 1 (got {ns.members})")
+
+
+def _normalized(ns, train, query_x):
+    """The training set and query rows as ``--normalize`` maps them, and the
+    min-max parameters that map predictions back (None for ``none``)."""
+    if ns.normalize != "global":
+        return train, query_x, None
+    fitted, params = normalize_minmax(train)
+    return fitted, apply_minmax(query_x, params), params
 
 
 def cmd_bench(ns) -> int:
@@ -190,12 +190,7 @@ def cmd_predict(ns) -> int:
         ns.k <= train.n_instances,
         f"--k ({ns.k}) exceeds the number of training rows ({train.n_instances})",
     )
-    params = None
-    fitted = train
-    query_x = query
-    if ns.normalize == "global":
-        fitted, params = normalize_minmax(train)
-        query_x = apply_minmax(query, params)
+    fitted, query_x, params = _normalized(ns, train, query)
     tree_params = _tree_params(ns)
 
     ensemble = individual = None
@@ -256,12 +251,7 @@ def cmd_inspect(ns) -> int:
         ns.k <= reference.n_instances,
         f"--k ({ns.k}) exceeds the reference size ({reference.n_instances})",
     )
-    query_x = data.features[row][None]
-    params = None
-    fitted = reference
-    if ns.normalize == "global":
-        fitted, params = normalize_minmax(reference)
-        query_x = apply_minmax(query_x, params)
+    fitted, query_x, params = _normalized(ns, reference, data.features[row][None])
     ensemble = generate_ensemble(
         fitted.features, fitted.targets, ns.members, _tree_params(ns), ns.seed,
     )

@@ -91,19 +91,11 @@ class FoldSplit:
     fold_id: int
 
 
-def _looks_like_header(cells: list[str]) -> bool:
-    for cell in cells:
-        try:
-            float(cell)
-        except ValueError:
-            return True
-    return False
-
-
 def read_numeric_csv(path) -> tuple[np.ndarray, list[str] | None]:
     """Parse a numeric CSV file into a float matrix.
 
-    The first line is a header when any of its cells is not a number.
+    The first line is a header when any of its cells does not parse as a
+    float (``nan`` and ``inf`` do, so such a line is data, and rejected).
     Returns the matrix and the stripped header cells (None without a header).
     The file is parsed row by row into one flat float buffer, so no row's
     strings outlive it.
@@ -131,8 +123,12 @@ def read_numeric_csv(path) -> tuple[np.ndarray, list[str] | None]:
                 if not row:
                     continue  # a blank line
                 line += 1
+                try:
+                    parsed = [float(c) for c in row]
+                except ValueError:
+                    parsed = None
                 if n_cols is None:
-                    if line == 1 and _looks_like_header(row):
+                    if line == 1 and parsed is None:
                         column_names = [c.strip() for c in row]
                         continue
                     n_cols = len(row)
@@ -140,10 +136,6 @@ def read_numeric_csv(path) -> tuple[np.ndarray, list[str] | None]:
                     raise DatasetError(
                         f"{path}: ragged row {line}: expected {n_cols} cells, found {len(row)}"
                     )
-                try:
-                    parsed = [float(c) for c in row]
-                except ValueError:
-                    parsed = None
                 if parsed is None or not all(map(math.isfinite, parsed)):
                     _raise_bad_cell(path, row, line)
                 values.extend(parsed)
@@ -317,15 +309,8 @@ def kfold_split(n: int, folds: int, seed: int) -> list[FoldSplit]:
         raise ValueError(f"folds must be >= 2, got {folds}")
     if folds > n:
         raise ValueError(f"folds ({folds}) exceeds instance count ({n})")
-    perm = make_rng(seed).permutation(n)
-    base, extra = divmod(n, folds)
-    splits = []
-    start = 0
-    for fold_id in range(folds):
-        size = base + (1 if fold_id < extra else 0)
-        test = np.sort(perm[start : start + size])
-        mask = np.ones(n, dtype=bool)
-        mask[test] = False
-        splits.append(FoldSplit(np.flatnonzero(mask), test, fold_id))
-        start += size
-    return splits
+    chunks = np.array_split(make_rng(seed).permutation(n), folds)
+    return [
+        FoldSplit(np.setdiff1d(np.arange(n), test), test, fold_id)
+        for fold_id, test in enumerate(map(np.sort, chunks))
+    ]

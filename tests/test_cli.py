@@ -58,6 +58,10 @@ class TestParseMeasures:
         with pytest.raises(CliArgumentError, match="m9"):
             parse_measures("m9")
 
+    def test_unknown_measure_message_lists_the_measures(self):
+        with pytest.raises(CliArgumentError, match="expected one of m1, m2, .*, m8$"):
+            parse_measures("m2,m0")
+
     def test_backwards_range_rejected(self):
         with pytest.raises(CliArgumentError, match="empty measure range"):
             parse_measures("m5..m2")
@@ -79,6 +83,17 @@ class TestParseAlgorithms:
     def test_unknown_rejected(self):
         with pytest.raises(CliArgumentError, match="voting"):
             parse_algorithms("voting")
+
+    def test_range(self):
+        assert parse_algorithms("mean..dw") == ("mean", "median", "ds", "dw")
+
+    def test_backwards_range_rejected(self):
+        with pytest.raises(CliArgumentError, match="empty algorithm range"):
+            parse_algorithms("dw..mean")
+
+    def test_empty_spec_rejected(self):
+        with pytest.raises(CliArgumentError, match="no algorithms"):
+            parse_algorithms(" , ")
 
 
 class TestExitCodes:
@@ -522,6 +537,15 @@ class TestBench:
         assert "ds:m3" in stdout
         for name in ("results.csv", "wtl.csv", "diff_m7.csv", "table.txt"):
             assert (out / name).exists()
+
+    def test_algorithm_range(self, train_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["bench", "--data", str(train_csv), "--out", str(out)] + BENCH_FAST
+        assert main(argv + ["--algo", "mean..ds"]) == 0
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1:3] for row in rows] == [
+            ["mean", ""], ["median", ""], ["ds", "m3"], ["ds", "m7"],
+        ]
 
     def test_reruns_are_byte_identical(self, train_csv, tmp_path, capsys):
         outs = []
