@@ -329,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--data", action="append", metavar="CSV",
                        help="dataset file; repeat for several datasets")
     bench.add_argument("--algo", default="all",
-                       help="comma list of single,mean,median,ds,dw,dws or 'all' "
-                            "(default %(default)s)")
+                       help="comma list with ranges over single,mean,median,ds,dw,dws, "
+                            "e.g. 'mean..ds,dws', or 'all' (default %(default)s)")
     bench.add_argument("--measures", default="all",
                        help="comma list with ranges, e.g. 'm2,m5..m7' or 'all' "
                             "(default %(default)s)")

@@ -302,8 +302,9 @@ def kfold_split(n: int, folds: int, seed: int) -> list[FoldSplit]:
     """Randomly deal ``n`` instances into ``folds`` test sets of near-equal size.
 
     Instances are permuted by a generator seeded with ``seed`` and cut into
-    contiguous chunks; fold sizes differ by at most one. Each instance lands
-    in exactly one test set; indices within each fold are sorted ascending.
+    contiguous chunks, the first ``n % folds`` of them one row longer. Each
+    instance lands in exactly one test set; a fold's test and train indices
+    are sorted ascending.
     """
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
