@@ -170,6 +170,17 @@ def _block_rows(reference_X, k, n_members) -> int:
     return max(1, _QUERY_CELLS // max(1, len(reference_X), n_members * k))
 
 
+def fit_models(algorithms, features, targets, n_members, params, seed):
+    """``(ensemble, individual)`` for ``algorithms``: the single tree alone
+    grows without an ensemble; otherwise the bagged ensemble grows, with the
+    single tree in its members' pass when ``"single"`` is among them."""
+    if set(algorithms) == {"single"}:
+        return None, fit_individual(features, targets, params)
+    ensemble = generate_ensemble(features, targets, n_members, params, seed,
+                                 individual="single" in algorithms)
+    return ensemble, ensemble.individual
+
+
 def predict_queries(keys, reference_X, reference_y, query_X, k, ensemble, individual=None):
     """Answer every query row with every (algorithm, measure) in ``keys``.
 
@@ -257,17 +268,10 @@ def _run_fold(task):
         train, params = normalize_minmax(train)
         test = apply_normalization(test, params)
 
-    # The individual tree grows with the ensemble when the fold needs both.
-    ensemble = None
-    if any(a != "single" for a in config.algorithms):
-        ens_seed = derive_seed(replication_seed, fold.fold_id)
-        ensemble = generate_ensemble(
-            train.features, train.targets, config.n_members,
-            config.tree_params, ens_seed, individual="single" in config.algorithms,
-        )
-        individual = ensemble.individual
-    else:
-        individual = fit_individual(train.features, train.targets, config.tree_params)
+    ensemble, individual = fit_models(
+        config.algorithms, train.features, train.targets, config.n_members,
+        config.tree_params, derive_seed(replication_seed, fold.fold_id),
+    )
 
     keys = config.method_keys()
     predictions = {key: np.empty(test.n_instances) for key in keys}

@@ -41,6 +41,7 @@ from .bench import (
     NORMALIZATION_MODES,
     SCALES,
     RunConfig,
+    fit_models,
     predict_queries,
     render_table,
     run_benchmark,
@@ -57,8 +58,9 @@ from .datasets import (
 from .learners import TreeParams, fit_individual, generate_ensemble
 from .measures import MEASURE_IDS, score_all
 from .region import build_region
-# Unused here since predict answers through bench.predict_queries, but
-# perfbench/spans.py TRACE_POINTS still wraps these names in drs.cli.
+# Unused here since predict and inspect fit through bench.fit_models and predict
+# answers through bench.predict_queries, but perfbench/spans.py TRACE_POINTS
+# still wraps these names and fit_individual and generate_ensemble in drs.cli.
 from .selection import ds_predict, dw_predict, dw_weights, dws_predict
 
 
@@ -129,13 +131,21 @@ def _require_sizes(ns):
     _require(ns.members >= 1, f"--members must be >= 1 (got {ns.members})")
 
 
-def _normalized(ns, train, query_x):
-    """The training set and query rows as ``--normalize`` maps them, and the
-    min-max parameters that map predictions back (None for ``none``)."""
-    if ns.normalize != "global":
-        return train, query_x, None
-    fitted, params = normalize_minmax(train)
-    return fitted, apply_minmax(query_x, params), params
+def _normalized(ns, algorithms, train, query_x):
+    """The training set and query rows as ``--normalize`` maps them, the
+    min-max parameters that map predictions back (None for ``none``), and
+    the ``(ensemble, individual)`` that ``algorithms`` need, fitted on that
+    training set. ``--k`` is checked against the training rows first."""
+    _require(ns.k <= train.n_instances,
+             f"--k ({ns.k}) exceeds the number of training rows ({train.n_instances})")
+    params = None
+    if ns.normalize == "global":
+        train, params = normalize_minmax(train)
+        query_x = apply_minmax(query_x, params)
+    ensemble, individual = fit_models(
+        algorithms, train.features, train.targets, ns.members, _tree_params(ns), ns.seed,
+    )
+    return train, query_x, params, ensemble, individual
 
 
 def cmd_bench(ns) -> int:
@@ -186,20 +196,7 @@ def cmd_predict(ns) -> int:
             f"{ns.query}: query rows have {query.shape[1]} features "
             f"but {ns.train} has {train.n_features}"
         )
-    _require(
-        ns.k <= train.n_instances,
-        f"--k ({ns.k}) exceeds the number of training rows ({train.n_instances})",
-    )
-    fitted, query_x, params = _normalized(ns, train, query)
-    tree_params = _tree_params(ns)
-
-    ensemble = individual = None
-    if algo == "single":
-        individual = fit_individual(fitted.features, fitted.targets, tree_params)
-    else:
-        ensemble = generate_ensemble(
-            fitted.features, fitted.targets, ns.members, tree_params, ns.seed,
-        )
+    fitted, query_x, params, ensemble, individual = _normalized(ns, (algo,), train, query)
     key = (algo, measure if algo in DYNAMIC_ALGORITHMS else "")
     answers = predict_queries(
         [key], fitted.features, fitted.targets, query_x, ns.k, ensemble, individual,
@@ -247,14 +244,8 @@ def cmd_inspect(ns) -> int:
     )
     keep = np.r_[0:row, row + 1 : data.n_instances]
     reference = data.subset(keep)
-    _require(
-        ns.k <= reference.n_instances,
-        f"--k ({ns.k}) exceeds the reference size ({reference.n_instances})",
-    )
-    fitted, query_x, params = _normalized(ns, reference, data.features[row][None])
-    ensemble = generate_ensemble(
-        fitted.features, fitted.targets, ns.members, _tree_params(ns), ns.seed,
-    )
+    fitted, query_x, params, ensemble, _ = _normalized(ns, DYNAMIC_ALGORITHMS, reference,
+                                                       data.features[row][None])
     # The query is a block of one row; its region and scores are row 0.
     region = build_region(
         query_x, fitted.features, fitted.targets,

@@ -132,28 +132,36 @@ def find_neighbors(x, reference_features, k: int):
     return nearest, distances
 
 
+def normalized_inverse(values, zero, kept=True) -> np.ndarray:
+    """1/value over a (B, n) block of nonnegative values, normalised over each
+    row's ``kept`` entries (a mask; True keeps all); every other entry gets 0.
+
+    At zero the formula is singular, so its limit is used: in a row where z
+    kept entries are flagged in the ``zero`` mask, each gets 1/z, all else 0.
+    """
+    zero = zero & kept
+    exact = zero.any(axis=1, keepdims=True)
+    if exact.any():
+        # Flagged entries become 1 and the rest infinite, so 1/value is 1 or 0.
+        values = np.where(exact, np.where(zero, 1.0, np.inf), values)
+    inv = np.where(kept, 1.0 / values, 0.0)
+    return inv / inv.sum(axis=1, keepdims=True)
+
+
 def inverse_distance_weights(distances) -> np.ndarray:
     """Normalized inverse-distance weights: d_k = (1/dist_k) / sum_j (1/dist_j).
 
-    The formula is singular at zero distance, so its pointwise limit is
-    used there: if any distance is below 1e-12, the z zero-distance entries
-    each get weight 1/z and all others get 0. The output always sums to 1
-    and is invariant under positive rescaling of the distances while every
-    distance stays at or above 1e-12. ``distances`` is a (B, k) block,
-    weighted row by row.
+    Distances below 1e-12 count as zero, where :func:`normalized_inverse`
+    takes the formula's limit. The output always sums to 1 and is invariant
+    under positive rescaling of the distances while every distance stays at
+    or above 1e-12. ``distances`` is a (B, k) block, weighted row by row.
     """
     dist = np.asarray(distances, dtype=float)
     if dist.ndim != 2 or dist.shape[-1] == 0:
         raise ValueError("distances must be a (B, k) block with k >= 1")
     if np.any(dist < 0):
         raise ValueError("distances must be nonnegative")
-    zero = dist < ZERO_DISTANCE_TOL
-    exact = zero.any(axis=-1, keepdims=True)
-    if exact.any():
-        # Zero distances become 1 and the rest infinite, so 1/dist is 1 or 0.
-        dist = np.where(exact, np.where(zero, 1.0, np.inf), dist)
-    inv = 1.0 / dist
-    return inv / inv.sum(axis=-1, keepdims=True)
+    return normalized_inverse(dist, dist < ZERO_DISTANCE_TOL)
 
 
 def build_region(

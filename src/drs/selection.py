@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .region import normalized_inverse
+
 ZERO_SCORE_TOL = 1e-12
 
 
@@ -60,20 +62,12 @@ def ds_predict(scores, query_predictions):
 
 def _weights(s: np.ndarray, kept: np.ndarray) -> MemberWeights:
     """Each row's kept members weighted by 1/sqrt(score), normalised over
-    them; every other member gets 0.
-
-    In a row where a kept member scores below 1e-12, those members get 1
-    and every other member 0 (1/sqrt(inf)), so the weight splits uniformly
-    over them.
+    them; every other member gets 0. Scores below 1e-12 count as zero, where
+    :func:`~drs.region.normalized_inverse` takes the formula's limit.
     """
     if np.any(s < 0):
         raise ValueError("scores must be nonnegative")
-    zero = (s < ZERO_SCORE_TOL) & kept
-    exact = zero.any(axis=1, keepdims=True)
-    if exact.any():
-        s = np.where(exact, np.where(zero, 1.0, np.inf), s)
-    inv = np.where(kept, 1.0 / np.sqrt(s), 0.0)
-    return MemberWeights(inv / inv.sum(axis=1, keepdims=True), kept)
+    return MemberWeights(normalized_inverse(np.sqrt(s), s < ZERO_SCORE_TOL, kept), kept)
 
 
 def dw_weights(scores) -> MemberWeights:
