@@ -15,7 +15,6 @@ from drs import (
     ALGORITHMS,
     DYNAMIC_ALGORITHMS,
     TreeParams,
-    fit_individual,
     generate_ensemble,
     load_csv,
     normalize_minmax,
@@ -45,9 +44,10 @@ print(f"split: {train.n_instances} training rows, {test.n_instances} test rows")
 # their own bootstrap draw, so error scores over training neighbors collapse
 # and stop separating the members
 tree_params = TreeParams(min_parent_size=10, min_leaf_size=5)
+# the single tree grows on the whole training set in the members' pass
 ensemble = generate_ensemble(train.features, train.targets, MEMBERS,
-                             tree_params, SEED)
-single = fit_individual(train.features, train.targets, tree_params)
+                             tree_params, SEED, individual=True)
+single = ensemble.individual
 print(f"fitted: 1 individual tree and {MEMBERS} bagged members")
 
 # every algorithm answers every query; the dynamic ones rank members by m3

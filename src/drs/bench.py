@@ -171,9 +171,8 @@ def _block_rows(reference_X, k, n_members) -> int:
 
 
 def fit_models(algorithms, features, targets, n_members, params, seed):
-    """``(ensemble, individual)`` for ``algorithms``: the single tree alone
-    grows without an ensemble; otherwise the bagged ensemble grows, with the
-    single tree in its members' pass when ``"single"`` is among them."""
+    """``(ensemble, individual)`` for ``algorithms``. The single tree alone grows
+    without an ensemble, else in the ensemble's pass when ``"single"`` is asked for."""
     if set(algorithms) == {"single"}:
         return None, fit_individual(features, targets, params)
     ensemble = generate_ensemble(features, targets, n_members, params, seed,
@@ -359,6 +358,9 @@ def run_benchmark(config: RunConfig, datasets: list[Dataset]) -> RunResult:
     if not datasets:
         raise ValueError("at least one dataset is required")
     names = [d.name for d in datasets]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"two datasets are named {name!r}; results are keyed by name")
     tasks = []
     for dataset in datasets:
         data = _globally_normalized(config, dataset)
@@ -384,8 +386,6 @@ def run_benchmark(config: RunConfig, datasets: list[Dataset]) -> RunResult:
 def aggregate(result: RunResult) -> dict:
     """(dataset, algorithm, measure) -> (mse_mean, mse_std) over replications."""
     keys = result.config.method_keys()
-    if not keys:
-        raise ValueError("no methods to aggregate")
     return {
         (name, algo, m): result.mean_std(name, algo, m)
         for name in result.dataset_names

@@ -31,7 +31,6 @@ import argparse
 import dataclasses
 import os
 import sys
-from collections import Counter
 
 import numpy as np
 
@@ -64,7 +63,7 @@ from .region import build_region
 from .selection import ds_predict, dw_predict, dw_weights, dws_predict
 
 
-class CliArgumentError(Exception):
+class CliArgumentError(ValueError):
     """Invalid flag value; reported on stderr with exit code 2."""
 
 
@@ -166,13 +165,13 @@ def cmd_bench(ns) -> int:
     )
 
     datasets = []
-    seen = Counter()
     for p in ns.data:
         d = load_csv(p, ns.target_col)
-        seen[d.name] += 1
-        if seen[d.name] > 1:
-            d = dataclasses.replace(d, name=f"{d.name}#{seen[d.name]}")
-        datasets.append(d)
+        name, n = d.name, 1
+        while any(other.name == name for other in datasets):  # the first free #n
+            n += 1
+            name = f"{d.name}#{n}"
+        datasets.append(dataclasses.replace(d, name=name))
 
     result = run_benchmark(config, datasets)
     written = write_outputs(result, ns.out)
@@ -367,9 +366,6 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         return ns.func(ns)
-    except CliArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # The reader closed stdout. Point it at devnull so that the
         # interpreter's last flush stays quiet too.

@@ -212,6 +212,12 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="dataset"):
             run_benchmark(small_config(), [])
 
+    def test_rejects_two_datasets_with_one_name(self):
+        # results are keyed by dataset name, so two would pool into one cell
+        d = small_dataset()
+        with pytest.raises(ValueError, match="'synth0'"):
+            run_benchmark(small_config(algorithms=("mean",)), [d, d])
+
     def test_global_normalization_runs_once_per_dataset(self, monkeypatch):
         calls = []
 

@@ -567,6 +567,25 @@ class TestBench:
         text = (out / "results.csv").read_text()
         assert "synth," in text and "synth#2," in text
 
+    def test_repeated_names_never_take_a_name_in_use(self, tmp_path, capsys):
+        # housing.csv, housing#2.csv, housing.csv: the third is housing#3, not a
+        # second housing#2 whose replications would pool with the file's
+        lines = (DATA_DIR / "housing.csv").read_text().splitlines()
+        first = tmp_path / "housing.csv"
+        first.write_text("\n".join(lines[:120]) + "\n")
+        second = tmp_path / "housing#2.csv"
+        second.write_text("\n".join(lines[:1] + lines[199:320]) + "\n")
+        out = tmp_path / "out"
+        argv = ["bench", "--data", str(first), "--data", str(second), "--data", str(first),
+                "--algo", "mean", "--reps", "2", "--folds", "3", "--members", "3",
+                "--out", str(out)]
+        assert main(argv) == 0
+        rows = {row.split(",")[0]: row.split(",")[1:]
+                for row in (out / "results.csv").read_text().splitlines()[1:]}
+        assert list(rows) == ["housing", "housing#2", "housing#3"]
+        assert rows["housing#3"] == rows["housing"]
+        assert rows["housing#2"] != rows["housing"]
+
     def test_argument_file_supplies_flags(self, train_csv, tmp_path, capsys):
         args = tmp_path / "run.args"
         out = tmp_path / "file-out"

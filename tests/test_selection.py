@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drs.region import inverse_distance_weights
 from drs.selection import ds_predict, dw_predict, dw_weights, dws_predict
 
 SCORES = st.lists(
@@ -81,6 +82,19 @@ class TestDwWeights:
     def test_negative_scores_rejected(self):
         with pytest.raises(ValueError, match="nonneg"):
             dw_weights([[0.5, -0.1]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_rule_as_inverse_distance_weights(self, data):
+        # 1/sqrt(score) is 1/distance at distance sqrt(score), zero rows included
+        n_rows, n_members = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
+        score = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e6))
+        scores = np.array(data.draw(st.lists(
+            st.lists(score, min_size=n_members, max_size=n_members),
+            min_size=n_rows, max_size=n_rows,
+        )))
+        expected = inverse_distance_weights(np.sqrt(scores))
+        assert dw_weights(scores).alpha.tobytes() == expected.tobytes()
 
     def test_accepts_score_container(self, two_neighbor_region):
         from drs.measures import score_all
