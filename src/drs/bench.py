@@ -241,10 +241,14 @@ def _globally_normalized(config: RunConfig, dataset: Dataset) -> Dataset:
 def _replication_folds(config: RunConfig, data: Dataset, replication_seed: int) -> list:
     """One replication's fold tasks over ``data`` (already normalised by
     :func:`_globally_normalized`): the split made once, and ``k`` checked
-    against every training fold before any fold is fitted."""
-    folds = kfold_split(data.n_instances, config.folds, replication_seed)
+    against every training fold, when ds, dw or dws runs, before any fold
+    is fitted."""
+    try:
+        folds = kfold_split(data.n_instances, config.folds, replication_seed)
+    except ValueError as exc:
+        raise ValueError(f"{exc} of dataset {data.name!r}") from None
     min_train = min(len(f.train_indices) for f in folds)
-    if config.k > min_train:
+    if config.k > min_train and set(config.algorithms) & set(DYNAMIC_ALGORITHMS):
         raise ValueError(
             f"k ({config.k}) exceeds the smallest training fold ({min_train}) "
             f"of dataset {data.name!r}"

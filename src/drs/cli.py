@@ -134,9 +134,11 @@ def _normalized(ns, algorithms, train, query_x):
     """The training set and query rows as ``--normalize`` maps them, the
     min-max parameters that map predictions back (None for ``none``), and
     the ``(ensemble, individual)`` that ``algorithms`` need, fitted on that
-    training set. ``--k`` is checked against the training rows first."""
-    _require(ns.k <= train.n_instances,
-             f"--k ({ns.k}) exceeds the number of training rows ({train.n_instances})")
+    training set. ``--k`` is checked against the training rows first, when
+    a dynamic algorithm needs neighbours."""
+    if set(algorithms) & set(DYNAMIC_ALGORITHMS):
+        _require(ns.k <= train.n_instances,
+                 f"--k ({ns.k}) exceeds the number of training rows ({train.n_instances})")
     params = None
     if ns.normalize == "global":
         train, params = normalize_minmax(train)

@@ -12,8 +12,7 @@ Trees grow level by level, all members of an ensemble together (as in
 SLIQ, Mehta et al. 1996, and XGBoost's depth-wise builder, Chen & Guestrin
 2016). One array holds the bag rows of every active node, each node's rows
 in bag order. At each depth, one pass over the nodes' target ranges settles
-the purity of every node whose range puts it far from the tolerance; the
-variance of the rest runs once per group of equal-size nodes. The split
+purity: a node is pure when its targets are all equal. The split
 search runs on batches of impure nodes of mixed sizes, each padded to the
 largest node of its batch, under a fixed cell cap, and the leaf mean runs
 per equal-size group of the nodes that stay leaves. One stable partition of
@@ -22,13 +21,11 @@ row order. Each tree numbers its nodes breadth first from the root, left
 child before right. The nodes, splits, thresholds and leaf values are a
 node-at-a-time builder's bit for bit:
 
-- a node of n rows whose targets span R has a variance of at least
-  R**2 / (2 n), so R**2 >= 4 n ``_PURITY_TOL`` marks it impure with a
-  factor-2 margin over ``var``'s rounding, and every other candidate takes
-  the same ``var < _PURITY_TOL`` test as a 1-D call;
-- ``var`` and ``mean`` run on groups of one exact size, so their row-wise
-  pairwise sums are those of 1-D calls; ``mean`` runs on leaves only, and a
-  split node's value is NaN;
+- with gradual underflow, a node's range ``max - min`` is 0 only when its
+  targets are all equal, so no tolerance, and no unit, enters purity;
+- ``mean`` runs on groups of one exact size, so its row-wise pairwise sums
+  are those of 1-D calls; it runs on leaves only, and a split node's value
+  is NaN;
 - ``cumsum`` adds sequentially, along any axis;
 - a complex addition is two independent IEEE additions, so the prefix sums
   of the packed targets y + i y**2 are, part by part, the real prefix sums
@@ -71,10 +68,6 @@ import numpy as np
 from .datasets import DatasetError
 from .rng import derive_seed, make_rng
 
-# A node whose target variance is below this is a leaf. The range bound in
-# _grow_trees compares against the same value, so changing it here changes
-# the whole purity rule.
-_PURITY_TOL = 1e-12
 # Largest (feature, row) cell count of one split-search batch, padding rows
 # included (nodes x largest node size x features), and largest (tree, row)
 # cell count of one chunk of the prediction walk. It bounds working arrays
@@ -358,20 +351,6 @@ def _search_runs(sizes, d):
         start = stop
 
 
-def _size_groups(y, rows, starts, sizes, nodes):
-    """``nodes`` grouped by exact size, each group with its targets.
-
-    Yields (group, yb): the node ids of one size m, in ``nodes`` order, and
-    the (len(group), m) targets ``y`` of their rows, node j's rows being
-    ``rows[starts[j] : starts[j] + m]``. Row-wise ``var`` and ``mean`` of yb
-    add pairwise, as 1-D calls on each node do.
-    """
-    nodes = nodes[np.argsort(sizes[nodes], kind="stable")]
-    for group in np.split(nodes, np.flatnonzero(np.diff(sizes[nodes])) + 1):
-        if group.size:
-            yield group, y[rows[starts[group, None] + np.arange(sizes[group[0]])]]
-
-
 def _grow_trees(X, y, bags, params: TreeParams) -> list[RegressionTree]:
     """Fit one tree per row of ``bags`` (up to len(y) row indices into X and y), level by level."""
     n_trees, n = bags.shape
@@ -399,18 +378,13 @@ def _grow_trees(X, y, bags, params: TreeParams) -> list[RegressionTree]:
         threshold, value = np.full((2, n_nodes), np.nan)
         left, right = np.full((2, n_nodes), -1)
 
-        # Purity of the nodes that may split: impure by the range bound (see
-        # the module docstring), else by np.var per exact-size group.
+        # A node that may split is impure when its targets are not all equal.
         impure = np.zeros(n_nodes, dtype=bool)
         if params.max_depth is None or depth < params.max_depth:
             values = y[rows]
             spread = np.maximum.reduceat(values, starts) - np.minimum.reduceat(values, starts)
             del values
-            candidate = sizes >= params.min_parent_size
-            impure = candidate & (spread * spread >= 4 * sizes * _PURITY_TOL)
-            near = np.flatnonzero(candidate & ~impure)
-            for group, yb in _size_groups(y, rows, starts, sizes, near):
-                impure[group] = ~(np.var(yb, axis=1) < _PURITY_TOL)
+            impure = (sizes >= params.min_parent_size) & (spread > 0)
 
         # Split search over the impure nodes in size order, padded per run.
         impure = np.flatnonzero(impure)
@@ -436,8 +410,13 @@ def _grow_trees(X, y, bags, params: TreeParams) -> list[RegressionTree]:
         split = np.flatnonzero(feature >= 0)
         left[split] = n_grown + n_nodes + 2 * np.arange(split.size)
         right[split] = left[split] + 1
-        for group, yb in _size_groups(y, rows, starts, sizes, np.flatnonzero(feature < 0)):
-            value[group] = yb.mean(axis=1)
+        # Leaf means per exact-size group, so each adds pairwise as a 1-D call.
+        leaves = np.flatnonzero(feature < 0)
+        leaves = leaves[np.argsort(sizes[leaves], kind="stable")]
+        for group in np.split(leaves, np.flatnonzero(np.diff(sizes[leaves])) + 1):
+            if group.size:
+                m = sizes[group[0]]
+                value[group] = y[rows[starts[group, None] + np.arange(m)]].mean(axis=1)
         nodes_by_depth.append((tree_of, feature, threshold, value, left, right))
         if not split.size:
             break

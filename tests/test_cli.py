@@ -41,6 +41,14 @@ def query_csv(tmp_path):
     return path
 
 
+@pytest.fixture
+def tiny_csv(tmp_path):
+    """The header and first 5 rows of housing.csv: fewer rows than the default --k."""
+    path = tmp_path / "tiny.csv"
+    path.write_text("".join((DATA_DIR / "housing.csv").read_text().splitlines(True)[:6]))
+    return path
+
+
 class TestParseMeasures:
     def test_full_range(self):
         assert parse_measures("m1..m8") == tuple(f"m{i}" for i in range(1, 9))
@@ -390,6 +398,28 @@ class TestExitCodes:
         )
         assert code == 2
         assert "smallest training fold" in capsys.readouterr().err
+
+    def test_k_is_not_checked_when_no_algorithm_uses_neighbours(self, tiny_csv, tmp_path,
+                                                                capsys):
+        # The default k (10) exceeds every 4-row training fold, but mean and
+        # single take no neighbours.
+        out = tmp_path / "out"
+        code = main(
+            ["bench", "--data", str(tiny_csv), "--algo", "mean,single", "--folds", "5",
+             "--reps", "1", "--members", "3", "--out", str(out)]
+        )
+        assert code == 0
+        assert (out / "results.csv").read_text().count("tiny,") == 2
+
+    def test_folds_beyond_a_dataset_name_it(self, tiny_csv, tmp_path, capsys):
+        code = main(
+            ["bench", "--data", str(DATA_DIR / "housing.csv"), "--data", str(tiny_csv),
+             "--algo", "mean", "--folds", "9", "--reps", "1", "--members", "2",
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "folds (9) exceeds instance count (5) of dataset 'tiny'" in err
 
 
 @st.composite
@@ -754,6 +784,17 @@ class TestPredict:
         )
         assert code == 2
         assert "exceeds the number of training rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo", ["single", "mean", "median"])
+    def test_k_is_not_checked_when_no_algorithm_uses_neighbours(self, algo, tiny_csv,
+                                                                tmp_path, capsys):
+        # The default k (10) exceeds tiny's 5 rows, but algo takes no neighbours.
+        query = tmp_path / "q.csv"
+        query.write_text("0.1,18,2.31,0,0.538,6.575,65.2,4.09,1,296,15.3,396.9,4.98\n")
+        code = main(["predict", "--train", str(tiny_csv), "--query", str(query),
+                     "--algo", algo, "--members", "3"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("query 0: ")
 
 
 class TestInspect:

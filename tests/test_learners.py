@@ -11,7 +11,6 @@ from conftest import DATA_DIR
 from drs import learners
 from drs.datasets import kfold_split, load_csv, normalize_minmax
 from drs.learners import (
-    _PURITY_TOL,
     Ensemble,
     RegressionTree,
     TreeParams,
@@ -74,8 +73,8 @@ def reference_fit_tree(features, targets, params=None):
 
     Pops nodes from a stack, left child first, and numbers both children
     when it splits a node. A node becomes a leaf when it is smaller than
-    ``min_parent_size``, at ``max_depth``, when its targets are pure, or
-    when no split reduces the SSE.
+    ``min_parent_size``, at ``max_depth``, when its targets are all equal,
+    or when no split reduces the SSE.
     """
     X = np.ascontiguousarray(features, dtype=float)
     y = np.ascontiguousarray(targets, dtype=float)
@@ -98,7 +97,7 @@ def reference_fit_tree(features, targets, params=None):
         make_leaf = (
             idx.size < params.min_parent_size
             or (params.max_depth is not None and depth >= params.max_depth)
-            or np.var(yn) < _PURITY_TOL
+            or yn.min() == yn.max()
         )
         split = None
         if not make_leaf:
@@ -460,8 +459,9 @@ class TestFitTree:
 def tree_problems(draw):
     """Small training sets with tied values, duplicate rows, constant
     columns and, sometimes, constant targets or targets of a tiny spread
-    about an offset, whose nodes' variances fall on both sides of
-    ``_PURITY_TOL``, plus tree parameters."""
+    about an offset, down to a few ulps of it, whose nodes hold equal
+    targets or targets that differ by a variance far below 1e-12, plus tree
+    parameters."""
     n = draw(st.integers(1, 40))
     d = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -476,8 +476,8 @@ def tree_problems(draw):
     else:
         y = np.round(rng.normal(size=n), 1)  # tied targets
     if kind == "tiny spread":
-        offset = draw(st.sampled_from([0.25, 1e3, 1e6]))
-        y = offset + 10.0 ** draw(st.floats(-8.0, -4.0)) * y
+        offset = draw(st.sampled_from([0.25, 1e3, 1e6, 1e8]))
+        y = offset + 10.0 ** draw(st.floats(-12.0, -4.0)) * y
     min_leaf = draw(st.integers(1, 5))
     params = TreeParams(
         min_parent_size=2 * min_leaf + draw(st.integers(0, 6)),
@@ -541,23 +541,18 @@ class TestLevelWiseBuilder:
             want = reference_fit_tree(X[bags[i]], y[bags[i]], params)
             assert trees[i].to_text() == want.to_text()
 
-    def test_purity_is_the_variance_rule_node_by_node(self):
+    def test_a_node_is_pure_when_its_targets_are_all_equal(self):
         # Each tree's root is one drawn node. The feature is constant, so no
         # node splits, and the split search sees exactly the impure roots.
-        # Half the nodes spread normally with a variance near _PURITY_TOL;
-        # the other half hold n - 2 equal values and two at +-R/2, the least
-        # variance, R**2 / (2n), a range R allows, with R**2 near the bound
-        # 4 n _PURITY_TOL on both sides. Offsets reach 1e8.
+        # Half the roots hold n equal targets; the other half hold one of
+        # them one ulp above the rest, a variance far below any tolerance.
+        # Offsets run from 0, where the ulp is the least subnormal, to 1e8.
         rng = np.random.default_rng(14)
-        decided = {"pure": 0, "impure by var": 0, "impure by range": 0}
         for n in (2, 3, 5, 13, 40, 200):
             offset = rng.choice([0.0, 0.25, -3.0, 1e3, 1e6, 1e8], size=(60, 1))
-            scale = 10.0 ** rng.uniform(-0.5, 0.5, size=(60, 1))
-            y = rng.normal(size=(60, n)) * np.sqrt(_PURITY_TOL) * scale
-            extremes = np.zeros((30, n))
-            extremes[:, :2] = [-0.5, 0.5]
-            y[30:] = rng.permuted(extremes, axis=1) * np.sqrt(4 * n * _PURITY_TOL) * scale[30:]
-            y += offset
+            y = np.repeat(offset, n, axis=1)
+            up = np.arange(30, 60), rng.integers(0, n, size=30)
+            y[up] = np.nextafter(y[up], np.inf)
             bags = np.arange(y.size).reshape(y.shape)
             spy = mock.patch.object(learners, "_best_splits", wraps=learners._best_splits)
             with spy as search:
@@ -569,17 +564,31 @@ class TestLevelWiseBuilder:
                 for (_, zb, sizes, *_), _ in search.call_args_list
                 for i in range(len(sizes))
             }
-            for node, tree in zip(y, trees):
-                pure = np.var(node) < _PURITY_TOL
-                assert (node.tobytes() not in searched) == pure
+            for i, (node, tree) in enumerate(zip(y, trees)):
+                assert (node.tobytes() in searched) == (i >= 30)
                 assert tree.n_nodes == 1 and tree.value[0] == node.mean()
-                spread = node.max() - node.min()
-                decided[
-                    "pure" if pure
-                    else "impure by range" if spread * spread >= 4 * n * _PURITY_TOL
-                    else "impure by var"
-                ] += 1
-        assert min(decided.values()) > 30, decided
+
+    def test_equal_targets_of_a_large_magnitude_stay_one_leaf(self):
+        # np.var reads rounding noise above 1e-12 here, but no split can
+        # reduce the spread of equal targets.
+        X = np.arange(82.0)[:, None]
+        y = np.full(82, 67326551858.930885)
+        assert np.var(y) > 1e-12
+        tree = fit_individual(X, y, TreeParams(2, 1))
+        assert tree.n_nodes == 1 and tree.value[0] == y.mean()
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree_problems(), st.integers(-60, 60), st.integers(-60, 60))
+    def test_scaling_by_a_power_of_two_scales_the_tree(self, problem, a, b):
+        # Scaling by 2**a and 2**b is exact, so every sum, split and mean
+        # scales with it and nothing else may move.
+        X, y, params, _ = problem
+        tree = fit_individual(X, y, params)
+        scaled = fit_individual(np.ldexp(X, a), np.ldexp(y, b), params)
+        for name in ("feature", "left", "right"):
+            assert getattr(scaled, name).tolist() == getattr(tree, name).tolist()
+        assert scaled.threshold.tobytes() == np.ldexp(tree.threshold, a).tobytes()
+        assert scaled.value.tobytes() == np.ldexp(tree.value, b).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(tree_problems(), st.integers(1, 4))
