@@ -30,10 +30,16 @@ import numpy as np
 
 from .datasets import DatasetError
 
-ZERO_DISTANCE_TOL = 1e-12
 # Largest multiply-add count of one product in the neighbour filter,
 # (query rows) x (reference rows) x (features).
 _PRODUCT_CELLS = 1 << 18
+# A value below 2^-537, the square root of the smallest positive double
+# (2^-1074), counts as zero in inverse weighting. So the square root of a
+# score is zero exactly when the score is 0, and a neighbour distance, the
+# square root of a sum of squares, exactly when that sum is 0: the rule has
+# no unit. It is not a bare == 0 because below 2^-537 the inverse can
+# overflow, or push a row's sum of inverses past float64's range.
+_ZERO_BELOW = np.sqrt(np.finfo(float).smallest_subnormal)
 
 
 @dataclass(frozen=True)
@@ -132,17 +138,17 @@ def find_neighbors(x, reference_features, k: int):
     return nearest, distances
 
 
-def normalized_inverse(values, zero, kept=True) -> np.ndarray:
+def normalized_inverse(values, kept=True) -> np.ndarray:
     """1/value over a (B, n) block of nonnegative values, normalised over each
     row's ``kept`` entries (a mask; True keeps all); every other entry gets 0.
 
     At zero the formula is singular, so its limit is used: in a row where z
-    kept entries are flagged in the ``zero`` mask, each gets 1/z, all else 0.
+    kept entries are zero (below 2^-537), each gets 1/z, all else 0.
     """
-    zero = zero & kept
+    zero = (values < _ZERO_BELOW) & kept
     exact = zero.any(axis=1, keepdims=True)
     if exact.any():
-        # Flagged entries become 1 and the rest infinite, so 1/value is 1 or 0.
+        # Zero entries become 1 and the rest infinite, so 1/value is 1 or 0.
         values = np.where(exact, np.where(zero, 1.0, np.inf), values)
     inv = np.where(kept, 1.0 / values, 0.0)
     return inv / inv.sum(axis=1, keepdims=True)
@@ -151,17 +157,17 @@ def normalized_inverse(values, zero, kept=True) -> np.ndarray:
 def inverse_distance_weights(distances) -> np.ndarray:
     """Normalized inverse-distance weights: d_k = (1/dist_k) / sum_j (1/dist_j).
 
-    Distances below 1e-12 count as zero, where :func:`normalized_inverse`
-    takes the formula's limit. The output always sums to 1 and is invariant
-    under positive rescaling of the distances while every distance stays at
-    or above 1e-12. ``distances`` is a (B, k) block, weighted row by row.
+    At zero distances :func:`normalized_inverse` takes the formula's limit.
+    The output always sums to 1 and is invariant under positive rescaling
+    of the distances within float64's range. ``distances`` is a (B, k)
+    block, weighted row by row.
     """
     dist = np.asarray(distances, dtype=float)
     if dist.ndim != 2 or dist.shape[-1] == 0:
         raise ValueError("distances must be a (B, k) block with k >= 1")
     if np.any(dist < 0):
         raise ValueError("distances must be nonnegative")
-    return normalized_inverse(dist, dist < ZERO_DISTANCE_TOL)
+    return normalized_inverse(dist)
 
 
 def build_region(

@@ -21,8 +21,6 @@ import numpy as np
 
 from .region import normalized_inverse
 
-ZERO_SCORE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class MemberWeights:
@@ -62,22 +60,22 @@ def ds_predict(scores, query_predictions):
 
 def _weights(s: np.ndarray, kept: np.ndarray) -> MemberWeights:
     """Each row's kept members weighted by 1/sqrt(score), normalised over
-    them; every other member gets 0. Scores below 1e-12 count as zero, where
+    them; every other member gets 0. At zero scores
     :func:`~drs.region.normalized_inverse` takes the formula's limit.
     """
     if np.any(s < 0):
         raise ValueError("scores must be nonnegative")
-    return MemberWeights(normalized_inverse(np.sqrt(s), s < ZERO_SCORE_TOL, kept), kept)
+    return MemberWeights(normalized_inverse(np.sqrt(s), kept), kept)
 
 
 def dw_weights(scores) -> MemberWeights:
     """Weights inversely proportional to the square root of each score.
 
-    alpha_i = (1/sqrt(s_i)) / sum_n (1/sqrt(s_n)). Scores below 1e-12 are
-    treated as exactly competent: the weight splits uniformly over them and
+    alpha_i = (1/sqrt(s_i)) / sum_n (1/sqrt(s_n)). Zero scores are treated
+    as exactly competent: the weight splits uniformly over them and
     everyone else gets 0. All members stay selected. Weights are invariant
-    to positive rescaling of the score vector while every score stays at or
-    above 1e-12. The (B, N) block is weighted row by row.
+    to positive rescaling of the score vector within float64's range. The
+    (B, N) block is weighted row by row.
     """
     s = _block("scores", scores)
     return _weights(s, np.ones(s.shape, dtype=bool))

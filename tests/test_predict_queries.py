@@ -21,8 +21,6 @@ from drs.bench import ALGORITHMS, DYNAMIC_ALGORITHMS, predict_queries
 from drs.datasets import load_csv, normalize_minmax
 from drs.learners import Ensemble, TreeParams, fit_individual, generate_ensemble
 from drs.measures import MEASURE_IDS
-from drs.region import ZERO_DISTANCE_TOL
-from drs.selection import ZERO_SCORE_TOL
 
 
 def _neighbors(x, ref, k):
@@ -31,8 +29,11 @@ def _neighbors(x, ref, k):
     return nearest, dist[nearest]
 
 
+# Exact zeros: a distance, the square root of a sum of squares, and the
+# square root of a score fall below the library's zero rule, 2**-537, only
+# when they are 0.
 def _distance_weights(dist):
-    zero = dist < ZERO_DISTANCE_TOL
+    zero = dist == 0
     if zero.any():
         return zero / zero.sum()
     inv = 1.0 / dist
@@ -58,7 +59,7 @@ def _score(mid, observed, d, preds, qp):
 
 
 def _dw_alpha(s, kept):
-    zero = (s < ZERO_SCORE_TOL) & kept
+    zero = (s == 0) & kept
     if zero.any():
         return zero / zero.sum()
     inv = np.where(kept, 1.0 / np.sqrt(s), 0.0)
@@ -180,6 +181,42 @@ def test_blocks_equal_one_query_reference(problem):
     cells = problem["block"] * max(len(X), problem["members"] * k)
     with mock.patch.object(bench, "_QUERY_CELLS", cells):
         assert_blocks_match_reference(keys, X, y, Q, k, ensemble, individual)
+
+
+@settings(max_examples=200, deadline=None)
+@given(query_problems(), st.integers(-60, 60), st.integers(-30, 30), st.data())
+def test_answers_do_not_depend_on_units(problem, a, half_b, data):
+    """Scaling the features and queries by 2**a and the targets by 2**b
+    scales every prediction by 2**b and moves no DS winner, DW/DWS weight
+    or survivor, bit for bit. b is even: m2 and m7 scale by 2**b, and DW
+    takes the square root of each score. Targets are tenths, so no product
+    on the path under- or overflows at either scale."""
+    X, Q, k = problem["X"], problem["Q"], problem["k"]
+    n = len(X)
+    y = np.array(data.draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))) / 10
+    b = 2 * half_b
+    params = TreeParams(min_parent_size=2)
+    measures = MEASURE_IDS if k >= 2 else MEASURE_IDS[1:]  # m1 needs two neighbors
+    keys = [(a_, "") for a_ in ALGORITHMS if a_ not in DYNAMIC_ALGORITHMS]
+    keys += [(a_, m) for a_ in DYNAMIC_ALGORITHMS for m in measures]
+
+    def answers(X, y, Q):
+        ensemble = generate_ensemble(X, y, problem["members"], params, problem["seed"],
+                                     individual=True)
+        return list(predict_queries(keys, X, y, Q, k, ensemble, ensemble.individual))
+
+    want = answers(X, y, Q)
+    got = answers(np.ldexp(X, a), np.ldexp(y, b), np.ldexp(Q, a))
+    assert [start for start, _ in got] == [start for start, _ in want]
+    for (_, w), (_, g) in zip(want, got):
+        for key in keys:
+            (w_values, w_prov), (g_values, g_prov) = w[key], g[key]
+            assert _same_bits(g_values, np.ldexp(w_values, b)), key
+            if key[0] == "ds":
+                assert g_prov.tolist() == w_prov.tolist(), key
+            elif key[0] in ("dw", "dws"):
+                assert _same_bits(g_prov.alpha, w_prov.alpha), key
+                assert g_prov.selected.tolist() == w_prov.selected.tolist(), key
 
 
 def test_housing_blocks_equal_one_query_reference():

@@ -1,5 +1,7 @@
 """DS, DW, and DWS combiners."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,8 +67,8 @@ class TestDwWeights:
         st.floats(min_value=1e-3, max_value=1e3),
     )
     def test_invariant_to_positive_rescaling(self, scores, c):
-        # scaled scores stay far above the zero-score tolerance, where the
-        # weight rule switches to uniform sharing and invariance ends
+        # c is rarely a power of two, so each scaled score is rounded and
+        # the weights agree up to that rounding, not bit for bit
         a = dw_weights([scores]).alpha
         b = dw_weights(np.asarray([scores]) * c).alpha
         assert np.max(np.abs(a - b)) < 1e-9
@@ -165,3 +167,64 @@ class TestDws:
     def test_rejects_one_query_vectors(self):
         with pytest.raises(ValueError, match=r"\(B, N\) block.*\(2,\)"):
             dws_predict([0.1, 0.2], [1.0, 2.0])
+
+
+# Zero, or log-uniform over [5e-324, 1.7e308]: every magnitude float64 holds.
+FLOAT64_VALUES = st.one_of(
+    st.just(0.0), st.floats(-1074.0, float(np.log2(1.7e308))).map(lambda e: 2.0**e)
+)
+
+
+def _shifts(values, lowest, highest):
+    """The exponents k for which every positive value v and v * 2**k lie in
+    [2**lowest, 2**highest); empty unless k = 0 is one of them."""
+    _, e = np.frexp(values[values > 0])  # v in [2**(e - 1), 2**e)
+    if e.size == 0:
+        return range(-1100, 1101)
+    lo, hi = max(lowest + 1 - e.min(), -1100), min(highest - e.max(), 1100)
+    return range(lo, hi + 1) if lo <= 0 <= hi else range(0)
+
+
+def _weights_everywhere(row):
+    """The distance, DW and DWS weights of one row, with any RuntimeWarning
+    raised as an error."""
+    block = np.array([row])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value, dws = dws_predict(block, np.ones_like(block))
+        return inverse_distance_weights(block)[0], dw_weights(block).alpha[0], dws, value[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(FLOAT64_VALUES, min_size=1, max_size=12), st.data())
+def test_weights_are_total_over_float64(row, data):
+    """Distances and scores of any magnitude: every weight is finite, each
+    row sums to 1 up to rounding, and scaling the row by 2**k, where no
+    value under- or overflows, keeps every weight bit for bit."""
+    row = np.array(row)
+    distance, dw, dws, value = _weights_everywhere(row)
+    for alpha in (distance, dw, dws.alpha[0]):
+        assert np.isfinite(alpha).all()
+        assert abs(alpha.sum() - 1.0) <= len(row) * np.finfo(float).eps
+    assert abs(value - 1.0) <= len(row) * np.finfo(float).eps
+
+    # Distances: each positive value stays on its side of 2**-537, below
+    # which it counts as zero, and every inverse of one above stays normal.
+    zero = row < 2.0**-537
+    big = _shifts(np.where(zero, 0.0, row), -537, 1022)
+    small = _shifts(np.where(zero, row, 0.0), -1074, -537)
+    shifts = range(max(big.start, small.start), min(big.stop, small.stop))
+    if shifts:
+        k = data.draw(st.sampled_from(shifts), label="distance shift")
+        assert _weights_everywhere(np.ldexp(row, k))[0].tobytes() == distance.tobytes()
+    # Scores: every positive score stays a normal double with a bit to
+    # spare, so sqrt and the DWS cut scale exactly; k is even, so sqrt(2**k)
+    # is exact.
+    shifts = _shifts(row, -1021, 1022)
+    if shifts:
+        half = st.integers(-(-shifts.start // 2), (shifts.stop - 1) // 2)
+        k = 2 * data.draw(half, label="score shift / 2")
+        _, dw_scaled, dws_scaled, _ = _weights_everywhere(np.ldexp(row, k))
+        assert dw_scaled.tobytes() == dw.tobytes()
+        assert dws_scaled.alpha.tobytes() == dws.alpha.tobytes()
+        assert dws_scaled.selected.tolist() == dws.selected.tolist()
