@@ -197,8 +197,8 @@ def test_answers_do_not_depend_on_units(problem, a, half_b, data):
     b = 2 * half_b
     params = TreeParams(min_parent_size=2)
     measures = MEASURE_IDS if k >= 2 else MEASURE_IDS[1:]  # m1 needs two neighbors
-    keys = [(a_, "") for a_ in ALGORITHMS if a_ not in DYNAMIC_ALGORITHMS]
-    keys += [(a_, m) for a_ in DYNAMIC_ALGORITHMS for m in measures]
+    keys = [(algo, "") for algo in ALGORITHMS if algo not in DYNAMIC_ALGORITHMS]
+    keys += [(algo, m) for algo in DYNAMIC_ALGORITHMS for m in measures]
 
     def answers(X, y, Q):
         ensemble = generate_ensemble(X, y, problem["members"], params, problem["seed"],

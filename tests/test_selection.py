@@ -215,7 +215,7 @@ def test_weights_are_total_over_float64(row, data):
     small = _shifts(np.where(zero, row, 0.0), -1074, -537)
     shifts = range(max(big.start, small.start), min(big.stop, small.stop))
     if shifts:
-        k = data.draw(st.sampled_from(shifts), label="distance shift")
+        k = data.draw(st.integers(shifts.start, shifts.stop - 1), label="distance shift")
         assert _weights_everywhere(np.ldexp(row, k))[0].tobytes() == distance.tobytes()
     # Scores: every positive score stays a normal double with a bit to
     # spare, so sqrt and the DWS cut scale exactly; k is even, so sqrt(2**k)
