@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -314,8 +313,11 @@ def _usable_cpus() -> int:
 def _map_folds(config: RunConfig, tasks: list) -> list:
     """``_run_fold`` over ``tasks``, results in task order: in a pool of at
     most ``config.jobs`` processes, capped at the tasks and the usable CPUs,
-    when ``config.jobs`` > 1, else in this process."""
+    when ``config.jobs`` > 1, else in this process. The pool's module, with
+    multiprocessing and pickle, is imported only then."""
     if config.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(config.jobs, len(tasks), _usable_cpus())
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_fold, tasks))

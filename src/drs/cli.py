@@ -131,22 +131,24 @@ def _require_sizes(ns):
 
 
 def _normalized(ns, algorithms, train, query_x):
-    """The training set and query rows as ``--normalize`` maps them, the
-    min-max parameters that map predictions back (None for ``none``), and
-    the ``(ensemble, individual)`` that ``algorithms`` need, fitted on that
-    training set. ``--k`` is checked against the training rows first, when
-    a dynamic algorithm needs neighbours."""
+    """The training set as ``--normalize`` maps it, the min-max parameters
+    that map predictions back (None for ``none``), and the ``(ensemble,
+    individual)`` that ``algorithms`` need, fitted on that training set.
+    The query rows ``query_x`` are mapped the same way in place, so they
+    must be a writable array of their own, and the query side holds one
+    copy of its rows. ``--k`` is checked against the training rows first,
+    when a dynamic algorithm needs neighbours."""
     if set(algorithms) & set(DYNAMIC_ALGORITHMS):
         _require(ns.k <= train.n_instances,
                  f"--k ({ns.k}) exceeds the number of training rows ({train.n_instances})")
     params = None
     if ns.normalize == "global":
         train, params = normalize_minmax(train)
-        query_x = apply_minmax(query_x, params)
+        apply_minmax(query_x, params, out=query_x)
     ensemble, individual = fit_models(
         algorithms, train.features, train.targets, ns.members, _tree_params(ns), ns.seed,
     )
-    return train, query_x, params, ensemble, individual
+    return train, params, ensemble, individual
 
 
 def cmd_bench(ns) -> int:
@@ -197,10 +199,10 @@ def cmd_predict(ns) -> int:
             f"{ns.query}: query rows have {query.shape[1]} features "
             f"but {ns.train} has {train.n_features}"
         )
-    fitted, query_x, params, ensemble, individual = _normalized(ns, (algo,), train, query)
+    fitted, params, ensemble, individual = _normalized(ns, (algo,), train, query)
     key = (algo, measure if algo in DYNAMIC_ALGORITHMS else "")
     answers = predict_queries(
-        [key], fitted.features, fitted.targets, query_x, ns.k, ensemble, individual,
+        [key], fitted.features, fitted.targets, query, ns.k, ensemble, individual,
     )
     if algo == "dws":
         # The DWS note shows the first 10 survivors; one template per count shown.
@@ -245,8 +247,8 @@ def cmd_inspect(ns) -> int:
     )
     keep = np.r_[0:row, row + 1 : data.n_instances]
     reference = data.subset(keep)
-    fitted, query_x, params, ensemble, _ = _normalized(ns, DYNAMIC_ALGORITHMS, reference,
-                                                       data.features[row][None])
+    query_x = data.features[[row]]  # a copy, which _normalized maps in place
+    fitted, params, ensemble, _ = _normalized(ns, DYNAMIC_ALGORITHMS, reference, query_x)
     # The query is a block of one row; its region and scores are row 0.
     region = build_region(
         query_x, fitted.features, fitted.targets,

@@ -215,8 +215,9 @@ def load_csv(path, target_column: int | str = -1) -> Dataset:
         if not 0 <= t < n_cols:
             raise DatasetError(f"{path}: target column {target_column} out of range")
 
+    # Both are copies, so the parsed matrix is released on return.
     features = np.delete(values, t, axis=1)
-    targets = values[:, t]
+    targets = np.ascontiguousarray(values[:, t])
     return Dataset(features, targets, name=path.stem)
 
 
@@ -247,8 +248,8 @@ def normalize_minmax(d: Dataset) -> tuple[Dataset, NormalizationParams]:
             "that overflows float64; rescale it before normalizing"
         )
     params = NormalizationParams(lo, hi)
-    normalized = apply_normalization(d, params)
-    return normalized, params
+    apply_minmax(cols, params, out=cols)
+    return Dataset(cols[:, :-1], cols[:, -1], d.name), params
 
 
 def apply_normalization(d: Dataset, params: NormalizationParams) -> Dataset:
@@ -259,37 +260,48 @@ def apply_normalization(d: Dataset, params: NormalizationParams) -> Dataset:
     inside. Columns that were constant when the parameters were computed
     map to 0. Raises DatasetError as :func:`apply_minmax` does.
     """
-    out = apply_minmax(np.column_stack([d.features, d.targets]), params)
-    return Dataset(out[:, :-1], out[:, -1], d.name)
+    cols = np.column_stack([d.features, d.targets])
+    apply_minmax(cols, params, out=cols)
+    return Dataset(cols[:, :-1], cols[:, -1], d.name)
 
 
-def apply_minmax(matrix, params: NormalizationParams) -> np.ndarray:
+def apply_minmax(matrix, params: NormalizationParams, *, out=None) -> np.ndarray:
     """Apply stored min/max parameters to the leading columns of a matrix.
 
     A matrix with every column (features, then target) is mapped whole; a
     feature-only matrix, such as query rows, uses the feature columns'
-    parameters. The mapping is that of :func:`apply_normalization`.
+    parameters. The mapping is that of :func:`apply_normalization`. The
+    result is written to ``out``, which may be ``matrix`` itself, and
+    returned; without ``out`` it goes to a new array.
 
     Raises DatasetError, naming the first such cell (1-based row and
-    column), when a value lies so far outside its column's range that the
-    mapped value overflows float64.
+    column, in row-major order), when a value lies so far outside its
+    column's range that the mapped value overflows float64; ``matrix`` and
+    ``out`` are then left untouched. The map is monotone in each column and
+    NaN propagates through min and max, so only the minimum and maximum of
+    each varying column are checked, not every cell.
     """
     cols = np.asarray(matrix, dtype=float)
     n = cols.shape[1]
     rng_ = params.col_range[:n]
     scale = np.where(rng_ > 0, rng_, 1.0)
-    with np.errstate(over="ignore"):
-        out = (cols - params.col_min[:n]) / scale
-    out[:, rng_ == 0] = 0.0
-    overflow = np.argwhere(~np.isfinite(out))
-    if overflow.size:
-        i, c = overflow[0]
+
+    def mapped(values, into=None):
+        with np.errstate(over="ignore"):
+            into = np.subtract(values, params.col_min[:n], out=into)
+            np.divide(into, scale, out=into)
+        into[:, rng_ == 0] = 0.0
+        return into
+
+    extremes = np.stack([cols.min(axis=0), cols.max(axis=0)]) if len(cols) else cols
+    if not np.isfinite(mapped(extremes)).all():
+        i, c = np.argwhere(~np.isfinite(mapped(cols)))[0]
         raise DatasetError(
             f"row {i + 1}, column {c + 1}: {cols[i, c]:.6g} lies so far outside the "
             f"column's range, {params.col_min[c]:.6g} to {params.col_max[c]:.6g}, that "
             "min-max scaling overflows float64; try --normalize none"
         )
-    return out
+    return mapped(cols, out)
 
 
 def denormalize_targets(values, params: NormalizationParams) -> np.ndarray:

@@ -275,7 +275,7 @@ def fake_pools(monkeypatch):
             self.tasks = list(tasks)
             return map(fn, self.tasks)
 
-    monkeypatch.setattr("drs.bench.ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     return built
 
 

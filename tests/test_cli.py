@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,14 @@ BENCH_FAST = [
     "--folds", "3", "--reps", "2", "--members", "6", "--k", "3",
     "--algo", "mean,ds", "--measures", "m3,m7",
 ]
+
+
+def src_env():
+    """The environment for a fresh interpreter that imports drs from src/."""
+    src = str(DATA_DIR.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
 
 
 @pytest.fixture
@@ -163,14 +172,10 @@ class TestExitCodes:
         rows = np.resize(load_csv(housing).features, (5000, 13)).tolist()
         query = tmp_path / "query.csv"
         query.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
-        src = str(DATA_DIR.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        ))
         proc = subprocess.Popen(
             [sys.executable, "-m", "drs", "predict", "--train", str(housing), "--query", str(query),
              "--members", "5"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env(),
         )
         assert proc.stdout.readline().startswith(b"query 0: ")
         proc.stdout.close()
@@ -391,7 +396,7 @@ class TestExitCodes:
         def no_pool(max_workers):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr("drs.bench.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         code = main(
             ["bench", "--data", str(train_csv), "--k", "30",
              "--folds", "3", "--reps", "1", "--members", "4", "--jobs", "2"]
@@ -616,6 +621,26 @@ class TestBench:
         assert rows["housing#3"] == rows["housing"]
         assert rows["housing#2"] != rows["housing"]
 
+    def test_no_command_without_jobs_imports_the_process_pool(self, train_csv, query_csv,
+                                                               tmp_path):
+        # A fresh interpreter, since this one may have loaded the pool already.
+        runs = [
+            ["bench", "--data", str(train_csv), "--out", str(tmp_path / "out"), "--jobs", "1"]
+            + BENCH_FAST,
+            ["predict", "--train", str(train_csv), "--query", str(query_csv),
+             "--members", "4", "--k", "3"],
+            ["inspect", "--data", str(train_csv), "--row", "2", "--members", "4", "--k", "3"],
+        ]
+        code = (
+            "import sys, drs.cli\n"
+            f"assert all(drs.cli.main(argv) == 0 for argv in {runs!r})\n"
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=src_env(), timeout=120, check=False)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
     def test_argument_file_supplies_flags(self, train_csv, tmp_path, capsys):
         args = tmp_path / "run.args"
         out = tmp_path / "file-out"
@@ -776,6 +801,28 @@ class TestPredict:
         assert main(["predict", f"@{args}", "--members", "6", "--k", "3"]) == 0
         assert capsys.readouterr().out == expected
         assert "kept" in expected
+
+    def test_query_rows_are_held_once(self, tmp_path):
+        # 50,000 jittered housing rows: the query side holds their one parsed
+        # matrix, normalised in place, and no second copy of it.
+        housing = DATA_DIR / "housing.csv"
+        features = load_csv(housing).features
+        rng = np.random.default_rng(5)
+        rows = features[rng.integers(0, len(features), 50_000)]
+        rows += rng.uniform(-0.05, 0.05, rows.shape) * np.ptp(features, axis=0)
+        query = tmp_path / "query.csv"
+        query.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
+        argv = ["predict", "--train", str(housing), "--query", str(query),
+                "--algo", "mean", "--members", "20"]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert main(argv) == 0  # warm-up: imports and first-use caches
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 2 * rows.nbytes
 
     def test_k_beyond_training_rows(self, train_csv, query_csv, capsys):
         code = main(

@@ -6,12 +6,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import DATA_DIR, write_csv
 from drs.datasets import (
     Dataset,
     DatasetError,
+    NormalizationParams,
+    apply_minmax,
     apply_normalization,
     denormalize_targets,
     kfold_split,
@@ -20,6 +22,7 @@ from drs.datasets import (
     read_numeric_csv,
 )
 from drs.rng import make_rng
+from test_cli import extreme_predict_runs
 
 
 class TestLoadCsv:
@@ -173,6 +176,12 @@ class TestLoadCsv:
         assert d.features[0, 0] == pytest.approx(0.00632)
         assert d.targets[0] == pytest.approx(24.0)
 
+    def test_loaded_arrays_hold_no_view_of_the_parsed_file(self):
+        # A view of the parsed matrix would keep all of the file's numbers alive.
+        d = load_csv(DATA_DIR / "housing.csv", target_column=3)
+        for values in (d.features, d.targets):
+            assert values.base is None and values.flags.c_contiguous
+
 
 FORMATS = ["{!r}", "{:.3g}", "{:e}", " {!r} ", "{:.0f}"]
 # Fragments of numeric CSV text and of what breaks it: signs, exponents,
@@ -298,6 +307,69 @@ class TestNormalization:
         out = apply_normalization(other, params)
         assert np.allclose(out.features[:, 0], [0.5, 2.0])  # out-of-range allowed
         assert np.allclose(out.targets, [0.5, 0.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(extreme_predict_runs(), st.booleans(), st.data())
+    def test_in_place_equals_a_new_array(self, run, whole, data):
+        # Training columns and query rows from 1e-300 to 1.7e308 in magnitude
+        # (``whole`` maps the training rows, else the query rows), with up to
+        # two cells replaced by NaN, an infinity, or a value about 2^e column
+        # ranges from the column's minimum, which maps to about 2^e and so
+        # overflows float64 from e = 1024 on.
+        train, query, _ = run
+        params = NormalizationParams(train.min(axis=0), train.max(axis=0))
+        with np.errstate(over="ignore"):
+            assume(np.isfinite(params.col_range).all())  # else normalize_minmax refuses
+        m = train.copy() if whole else query.copy()
+        for _ in range(data.draw(st.integers(0, 2))):
+            i = data.draw(st.integers(0, m.shape[0] - 1))
+            j = data.draw(st.integers(0, m.shape[1] - 1))
+            with np.errstate(over="ignore"):
+                far = np.ldexp(params.col_range[j], data.draw(st.integers(1016, 1030)))
+            lo = params.col_min[j]
+            m[i, j] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, lo + far, lo - far]))
+        before = m.copy()
+        # Every cell mapped, then every cell checked, in row-major order.
+        rng_ = params.col_range[: m.shape[1]]
+        with np.errstate(over="ignore"):
+            expected = (m - params.col_min[: m.shape[1]]) / np.where(rng_ > 0, rng_, 1.0)
+        expected[:, rng_ == 0] = 0.0
+        bad = np.argwhere(~np.isfinite(expected))
+        try:
+            fresh = apply_minmax(m.copy(), params)
+        except DatasetError as exc:
+            assert bad.size
+            assert str(exc).startswith(f"row {bad[0][0] + 1}, column {bad[0][1] + 1}: ")
+            with pytest.raises(DatasetError) as in_place:
+                apply_minmax(m, params, out=m)
+            assert str(in_place.value) == str(exc)
+            assert m.tobytes() == before.tobytes()
+        else:
+            assert not bad.size
+            assert apply_minmax(m, params, out=m) is m
+            assert m.tobytes() == fresh.tobytes() == expected.tobytes()
+
+    def test_an_overflow_names_the_first_cell_in_row_major_order(self):
+        top = np.finfo(float).max / 2  # maps to float64's largest value
+        over = np.nextafter(top, np.inf)  # maps past it
+        params = NormalizationParams([0.0, 0.0], [0.5, 0.5])
+        m = np.array([[top, 0.25], [0.0, over], [-over, -top]])
+        before = m.copy()
+        with pytest.raises(DatasetError, match=r"^row 2, column 2: 8\.98847e\+307 lies so far"):
+            apply_minmax(m, params, out=m)
+        assert m.tobytes() == before.tobytes()
+        m[1, 1] = m[2, 0] = top
+        assert apply_minmax(m, params, out=m) is m
+        assert m[:, 1].tolist() == [0.5, np.finfo(float).max, -np.finfo(float).max]
+
+    def test_nan_or_inf_in_a_constant_column_maps_to_zero(self):
+        params = NormalizationParams([1.0, 0.0], [1.0, 2.0])
+        m = np.array([[np.nan, 1.0], [np.inf, 2.0], [-np.inf, 0.0]])
+        assert apply_minmax(m, params, out=m) is m
+        assert m.tolist() == [[0.0, 0.5], [0.0, 1.0], [0.0, 0.0]]
+        m[1, 1] = np.nan
+        with pytest.raises(DatasetError, match=r"^row 2, column 2: nan lies so far outside"):
+            apply_minmax(m, params)
 
     def test_denormalize_targets_alone(self):
         train = Dataset(np.array([[0.0], [1.0]]), np.array([10.0, 30.0]))
