@@ -144,7 +144,7 @@ def _normalized(ns, algorithms, train, query_x):
     params = None
     if ns.normalize == "global":
         train, params = normalize_minmax(train)
-        apply_minmax(query_x, params, out=query_x)
+        apply_minmax(query_x, params)
     ensemble, individual = fit_models(
         algorithms, train.features, train.targets, ns.members, _tree_params(ns), ns.seed,
     )

@@ -248,7 +248,7 @@ def normalize_minmax(d: Dataset) -> tuple[Dataset, NormalizationParams]:
             "that overflows float64; rescale it before normalizing"
         )
     params = NormalizationParams(lo, hi)
-    apply_minmax(cols, params, out=cols)
+    apply_minmax(cols, params)
     return Dataset(cols[:, :-1], cols[:, -1], d.name), params
 
 
@@ -261,47 +261,47 @@ def apply_normalization(d: Dataset, params: NormalizationParams) -> Dataset:
     map to 0. Raises DatasetError as :func:`apply_minmax` does.
     """
     cols = np.column_stack([d.features, d.targets])
-    apply_minmax(cols, params, out=cols)
+    apply_minmax(cols, params)
     return Dataset(cols[:, :-1], cols[:, -1], d.name)
 
 
-def apply_minmax(matrix, params: NormalizationParams, *, out=None) -> np.ndarray:
-    """Apply stored min/max parameters to the leading columns of a matrix.
+def apply_minmax(matrix, params: NormalizationParams) -> np.ndarray:
+    """Map the leading columns of a matrix in place with stored min/max parameters.
 
     A matrix with every column (features, then target) is mapped whole; a
     feature-only matrix, such as query rows, uses the feature columns'
-    parameters. The mapping is that of :func:`apply_normalization`. The
-    result is written to ``out``, which may be ``matrix`` itself, and
-    returned; without ``out`` it goes to a new array.
+    parameters. The mapping is that of :func:`apply_normalization`. It is
+    written into ``np.asarray(matrix, dtype=float)``, which is returned: a
+    float64 array is overwritten, anything else is converted first.
 
     Raises DatasetError, naming the first such cell (1-based row and
     column, in row-major order), when a value lies so far outside its
-    column's range that the mapped value overflows float64; ``matrix`` and
-    ``out`` are then left untouched. The map is monotone in each column and
-    NaN propagates through min and max, so only the minimum and maximum of
-    each varying column are checked, not every cell.
+    column's range that the mapped value overflows float64; ``matrix`` is
+    then left untouched. The map is monotone in each column and NaN
+    propagates through min and max, so only the minimum and maximum of each
+    varying column are checked, not every cell.
     """
     cols = np.asarray(matrix, dtype=float)
     n = cols.shape[1]
     rng_ = params.col_range[:n]
     scale = np.where(rng_ > 0, rng_, 1.0)
 
-    def mapped(values, into=None):
+    def mapped(values):
         with np.errstate(over="ignore"):
-            into = np.subtract(values, params.col_min[:n], out=into)
-            np.divide(into, scale, out=into)
-        into[:, rng_ == 0] = 0.0
-        return into
+            values -= params.col_min[:n]
+            values /= scale
+        values[:, rng_ == 0] = 0.0
+        return values
 
     extremes = np.stack([cols.min(axis=0), cols.max(axis=0)]) if len(cols) else cols
     if not np.isfinite(mapped(extremes)).all():
-        i, c = np.argwhere(~np.isfinite(mapped(cols)))[0]
+        i, c = np.argwhere(~np.isfinite(mapped(cols.copy())))[0]
         raise DatasetError(
             f"row {i + 1}, column {c + 1}: {cols[i, c]:.6g} lies so far outside the "
             f"column's range, {params.col_min[c]:.6g} to {params.col_max[c]:.6g}, that "
             "min-max scaling overflows float64; try --normalize none"
         )
-    return mapped(cols, out)
+    return mapped(cols)
 
 
 def denormalize_targets(values, params: NormalizationParams) -> np.ndarray:

@@ -310,7 +310,7 @@ class TestNormalization:
 
     @settings(max_examples=200, deadline=None)
     @given(extreme_predict_runs(), st.booleans(), st.data())
-    def test_in_place_equals_a_new_array(self, run, whole, data):
+    def test_in_place_map_equals_the_whole_matrix_map(self, run, whole, data):
         # Training columns and query rows from 1e-300 to 1.7e308 in magnitude
         # (``whole`` maps the training rows, else the query rows), with up to
         # two cells replaced by NaN, an infinity, or a value about 2^e column
@@ -336,18 +336,15 @@ class TestNormalization:
         expected[:, rng_ == 0] = 0.0
         bad = np.argwhere(~np.isfinite(expected))
         try:
-            fresh = apply_minmax(m.copy(), params)
+            mapped = apply_minmax(m, params)
         except DatasetError as exc:
             assert bad.size
             assert str(exc).startswith(f"row {bad[0][0] + 1}, column {bad[0][1] + 1}: ")
-            with pytest.raises(DatasetError) as in_place:
-                apply_minmax(m, params, out=m)
-            assert str(in_place.value) == str(exc)
             assert m.tobytes() == before.tobytes()
         else:
             assert not bad.size
-            assert apply_minmax(m, params, out=m) is m
-            assert m.tobytes() == fresh.tobytes() == expected.tobytes()
+            assert mapped is m
+            assert m.tobytes() == expected.tobytes()
 
     def test_an_overflow_names_the_first_cell_in_row_major_order(self):
         top = np.finfo(float).max / 2  # maps to float64's largest value
@@ -356,20 +353,26 @@ class TestNormalization:
         m = np.array([[top, 0.25], [0.0, over], [-over, -top]])
         before = m.copy()
         with pytest.raises(DatasetError, match=r"^row 2, column 2: 8\.98847e\+307 lies so far"):
-            apply_minmax(m, params, out=m)
+            apply_minmax(m, params)
         assert m.tobytes() == before.tobytes()
         m[1, 1] = m[2, 0] = top
-        assert apply_minmax(m, params, out=m) is m
+        assert apply_minmax(m, params) is m
         assert m[:, 1].tolist() == [0.5, np.finfo(float).max, -np.finfo(float).max]
 
     def test_nan_or_inf_in_a_constant_column_maps_to_zero(self):
         params = NormalizationParams([1.0, 0.0], [1.0, 2.0])
         m = np.array([[np.nan, 1.0], [np.inf, 2.0], [-np.inf, 0.0]])
-        assert apply_minmax(m, params, out=m) is m
+        assert apply_minmax(m, params) is m
         assert m.tolist() == [[0.0, 0.5], [0.0, 1.0], [0.0, 0.0]]
         m[1, 1] = np.nan
         with pytest.raises(DatasetError, match=r"^row 2, column 2: nan lies so far outside"):
             apply_minmax(m, params)
+
+    def test_a_matrix_of_ints_is_converted_not_overwritten(self):
+        params = NormalizationParams([0.0, 1.0], [4.0, 1.0])
+        m = np.array([[1, 1], [2, 1]])
+        assert apply_minmax(m, params).tolist() == [[0.25, 0.0], [0.5, 0.0]]
+        assert m.tolist() == [[1, 1], [2, 1]]
 
     def test_denormalize_targets_alone(self):
         train = Dataset(np.array([[0.0], [1.0]]), np.array([10.0, 30.0]))
