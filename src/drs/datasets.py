@@ -1,15 +1,19 @@
 """Loading, min-max normalization, and k-fold partitioning of regression data.
 
 A :class:`Dataset` is an immutable (features, targets) pair. The ingestion
-format is plain CSV: comma separated, decimal point ``.``, an optional single
-header line, no quoting of numeric cells. The target is one column of the
-file (by default the last one); every other column is a feature.
+format is CSV as the csv module reads it: comma separated, an optional
+single header row, blank lines skipped, any cell optionally quoted with
+``"``. Every data cell, once unquoted, must be a finite number that
+Python's ``float`` reads: decimal point ``.``, surrounding whitespace
+allowed. The target is one column of the file (by default the last one);
+every other column is a feature.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -94,11 +98,18 @@ class FoldSplit:
 def read_numeric_csv(path) -> tuple[np.ndarray, list[str] | None]:
     """Parse a numeric CSV file into a float matrix.
 
-    The first line is a header when any of its cells does not parse as a
-    float (``nan`` and ``inf`` do, so such a line is data, and rejected).
-    Returns the matrix and the stripped header cells (None without a header).
-    The file is parsed row by row into one flat float buffer, so no row's
-    strings outlive it.
+    The first non-blank row is a header when any of its cells does not
+    parse as a float (``nan`` and ``inf`` do, so such a row is data, and
+    rejected). Returns the matrix and the stripped header cells (None
+    without a header).
+
+    Two parsers read the file. numpy's C reader (``np.loadtxt``) goes
+    first, and its matrix is kept only when it read every cell and every
+    value is finite. It leaves to the second any file whose data rows hold
+    a quote, a character 0x1c-0x1f or a line over the csv module's field
+    size limit. The second re-reads the file row by row with the csv module
+    and ``float``. It alone words every error, and both give the same bits
+    for every file the C reader accepts.
 
     Raises
     ------
@@ -106,10 +117,51 @@ def read_numeric_csv(path) -> tuple[np.ndarray, list[str] | None]:
         For an unreadable file, a file that is not UTF-8, a row the csv
         module cannot parse (such as a cell over its field size limit), an
         empty file, a header with no data rows, ragged rows, or any cell that
-        does not parse as a finite number (the message names the offending
-        row and column, 1-based as they appear in the file). Rows are checked in
-        file order and the first fault is reported.
+        does not parse as a finite number. The message names the offending
+        row and column, 1-based; rows count the file's non-blank rows, the
+        header included. Rows are checked in file order and the first fault
+        is reported.
     """
+    return _read_plain(path) or _read_rows(path)
+
+
+def _read_plain(path):
+    """:func:`read_numeric_csv`'s result by ``np.loadtxt``, or None."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
+            row = next(filter(None, csv.reader(fh)), [])
+            try:
+                [float(c) for c in row]
+            except ValueError:
+                header = [c.strip() for c in row]
+            else:
+                header = None
+                fh.seek(0)  # the first row is data, so loadtxt reads it too
+            # Turns "input contained no data" into an exception.
+            warnings.simplefilter("error", UserWarning)
+            values = np.loadtxt(_plain_lines(fh), delimiter=",", comments=None, ndmin=2)
+    except (OSError, ValueError, csv.Error, UserWarning):
+        return None
+    return (values, header) if np.isfinite(values).all() else None
+
+
+def _plain_lines(fh):
+    """The lines of ``fh``, with a ValueError at any line numpy may misread.
+
+    A quoted cell can span lines, and only the csv module caps a cell at its
+    field size limit. numpy also strips characters 0x1c-0x1f around a
+    number, where ``float`` rejects them.
+    """
+    limit = csv.field_size_limit()
+    for line in fh:
+        if (len(line) > limit or '"' in line or "\x1c" in line or "\x1d" in line
+                or "\x1e" in line or "\x1f" in line):
+            raise ValueError("a line left to the row-by-row parser")
+        yield line
+
+
+def _read_rows(path):
+    """:func:`read_numeric_csv` row by row, into one flat float buffer."""
     path = Path(path)
     values = array("d")
     column_names = None

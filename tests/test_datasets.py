@@ -2,13 +2,16 @@
 
 import csv
 import re
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import DATA_DIR, write_csv
+from drs import datasets
 from drs.datasets import (
     Dataset,
     DatasetError,
@@ -186,11 +189,17 @@ class TestLoadCsv:
 FORMATS = ["{!r}", "{:.3g}", "{:e}", " {!r} ", "{:.0f}"]
 # Fragments of numeric CSV text and of what breaks it: signs, exponents,
 # words float() reads as non-finite, quotes, NUL, a byte-order mark and
-# bytes that are not UTF-8.
+# bytes that are not UTF-8. The last four split numpy's reader from float():
+# an underscore, an Arabic-Indic one, a lone CR and character 0x1c.
 CSV_PIECES = [
     b"0", b"1", b"7", b".", b"-", b"+", b"e", b"E", b"308", b"1e309", b"nan", b"inf",
     b"x", b",", b" ", b"\n", b"\r\n", b'"', b"\x00", b"\xef\xbb\xbf", b"\xff", b"\xc3\xa9",
+    b"_", b"\xd9\xa1", b"\r", b"\x1c",
 ]
+ANY_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.sampled_from(CSV_PIECES), max_size=40).map(b"".join),
+)
 
 
 @st.composite
@@ -229,10 +238,7 @@ class TestStreamedParse:
         assert names == (None if header is None else [c.strip() for c in header])
 
     @settings(max_examples=200, deadline=None)
-    @given(st.one_of(
-        st.binary(max_size=200),
-        st.lists(st.sampled_from(CSV_PIECES), max_size=40).map(b"".join),
-    ))
+    @given(ANY_BYTES)
     def test_any_bytes_give_a_finite_matrix_or_a_dataset_error(self, tmp_path_factory, data):
         p = tmp_path_factory.mktemp("csv") / "f.csv"
         p.write_bytes(data)
@@ -260,6 +266,92 @@ class TestStreamedParse:
         # A list of every row's cells, or of their floats, would take over
         # ten times the 2.08 MB result.
         assert peak < 3 * values.nbytes
+
+
+LIMIT = csv.field_size_limit()
+
+
+class TestTwoParsers:
+    """numpy's reader and the row-by-row parser: same bits, one set of messages."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(ANY_BYTES, csv_files().map(lambda file: file[0].encode("utf-8"))))
+    def test_the_row_parser_agrees_wherever_numpy_reads_the_file(self, tmp_path_factory, data):
+        p = tmp_path_factory.mktemp("csv") / "f.csv"
+        p.write_bytes(data)
+        fast = datasets._read_plain(p)
+        if fast is None:
+            return
+        values, header = datasets._read_rows(p)
+        assert fast[0].shape == values.shape and fast[0].tobytes() == values.tobytes()
+        assert fast[1] == header
+
+    @pytest.mark.parametrize("text", [
+        "a,b,y\n1,2,3\n\n4.5,-6e-3,7\n",
+        "\ufeff\r\n1,2\r\n3,4\r\n",
+        "0.1\n2\n",
+    ])
+    def test_well_formed_files_never_reach_the_row_parser(self, tmp_path, monkeypatch, text):
+        p = tmp_path / "f.csv"
+        p.write_bytes(text.encode("utf-8"))
+        want = datasets._read_rows(p)
+
+        def refuse(path):
+            raise AssertionError("the row-by-row parser was called")
+
+        monkeypatch.setattr(datasets, "_read_rows", refuse)
+        values, header = read_numeric_csv(p)
+        assert values.tobytes() == want[0].tobytes() and header == want[1]
+        assert values.flags.writeable and values.flags.c_contiguous
+
+    def test_a_nan_cell_reaches_the_row_parser(self, tmp_path, monkeypatch):
+        p = tmp_path / "f.csv"
+        p.write_text("a,b\n1,2\n3,nan\n")
+        calls = []
+        rows = datasets._read_rows
+        monkeypatch.setattr(datasets, "_read_rows", lambda path: calls.append(path) or rows(path))
+        with pytest.raises(DatasetError) as exc:
+            read_numeric_csv(p)
+        assert calls == [p]
+        assert str(exc.value) == f"{p}: non-finite cell 'nan' at row 3, column 2"
+
+    # Files on which numpy's reader and float() disagree, or which numpy's
+    # reader handles apart: each must give the row-by-row parser's matrix and
+    # header, or its message after the path. TestLoadCsv pins the
+    # byte-order marks.
+    @pytest.mark.parametrize("data, want", [
+        (b"a,b\n1_000,2\n", ([[1000.0, 2.0]], ["a", "b"])),
+        ("\u0661,\u0662\n3,4\n".encode(), ([[1.0, 2.0], [3.0, 4.0]], None)),
+        (b"a,b\n1,nan\n", "non-finite cell 'nan' at row 2, column 2"),
+        (b"1,2\n-Infinity,3\n", "non-finite cell '-Infinity' at row 2, column 1"),
+        (b"a,b,y\n", "no data rows after header"),
+        (b"a,b,y\n\n\r\n", "no data rows after header"),
+        (b"a,b\r\n1,2\r\n3,4\r\n", ([[1.0, 2.0], [3.0, 4.0]], ["a", "b"])),
+        (b"1,2\r3,4\r", ([[1.0, 2.0], [3.0, 4.0]], None)),
+        (b'"a","b"\n"1",2\n3," 4 "\n', ([[1.0, 2.0], [3.0, 4.0]], ["a", "b"])),
+        (b'1,2\n"\n\n3",4\n', ([[1.0, 2.0], [3.0, 4.0]], None)),
+        (b"1,2\n3\x1c,4\n", "non-numeric cell '3\\x1c' at row 2, column 1"),
+        pytest.param(
+            b"a,b,y\n1,2,3\n4,5\x00,6\n", "non-numeric cell '5\\x00' at row 3, column 2",
+            marks=pytest.mark.skipif(sys.version_info < (3, 11), reason="csv reads NUL from 3.11"),
+        ),
+        (b"1,2\n" + b"0" * LIMIT + b"3,4\n",
+         f"unreadable row 2: field larger than field limit ({LIMIT})"),
+        (b'1,2\n"' + b"\n" * LIMIT + b'3",4\n',
+         f"unreadable row 2: field larger than field limit ({LIMIT})"),
+    ])
+    def test_where_the_parsers_differ_the_row_parser_answers(self, tmp_path, data, want):
+        p = tmp_path / "f.csv"
+        p.write_bytes(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(want, str):
+                with pytest.raises(DatasetError) as exc:
+                    read_numeric_csv(p)
+                assert str(exc.value) == f"{p}: {want}"
+            else:
+                values, header = read_numeric_csv(p)
+                assert values.tolist() == want[0] and header == want[1]
 
 
 class TestDataset:
