@@ -184,6 +184,16 @@ def cmd_bench(ns) -> int:
     return 0
 
 
+def _first_survivors(selected, count):
+    """Flat indices into the (B, N) mask ``selected`` of each row's first
+    ``count`` True entries, (B, count). Every row holds at least one; a row
+    with fewer than ``count`` ends in entries that are not its own."""
+    survivors = np.flatnonzero(selected)
+    kept = selected.sum(axis=1)
+    positions = (np.cumsum(kept) - kept)[:, None] + np.arange(count)
+    return survivors[np.minimum(positions, survivors.size - 1)]
+
+
 def cmd_predict(ns) -> int:
     _require_sizes(ns)
     algo = ns.algo
@@ -219,12 +229,12 @@ def cmd_predict(ns) -> int:
         if algo == "ds":
             notes = [f"  ({measure}: selected member {i})" for i in provenance.tolist()]
         elif algo == "dws":
-            # The first 10 survivors of each row, then (index, weight) pairs of
+            # The first 10 survivors of each row, as (index, weight) pairs of
             # Python ints and floats, so % formats them as the note shows them.
-            first = np.argsort(~provenance.selected, axis=1, kind="stable")[:, :10]
-            pairs = np.empty((len(first), 2 * first.shape[1]), dtype=object)
-            pairs[:, 0::2] = first
-            pairs[:, 1::2] = np.take_along_axis(provenance.alpha, first, axis=1)
+            first = _first_survivors(provenance.selected, 10)
+            pairs = np.empty((len(first), 20), dtype=object)
+            pairs[:, 0::2] = first % provenance.selected.shape[1]
+            pairs[:, 1::2] = provenance.alpha.ravel()[first]
             kept = provenance.selected.sum(axis=1).tolist()
             for j, (n, row) in enumerate(zip(kept, pairs.tolist())):
                 shown = min(n, 10)

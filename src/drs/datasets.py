@@ -116,11 +116,11 @@ def read_numeric_csv(path) -> tuple[np.ndarray, list[str] | None]:
     DatasetError
         For an unreadable file, a file that is not UTF-8, a row the csv
         module cannot parse (such as a cell over its field size limit), an
-        empty file, a header with no data rows, ragged rows, or any cell that
-        does not parse as a finite number. The message names the offending
-        row and column, 1-based; rows count the file's non-blank rows, the
-        header included. Rows are checked in file order and the first fault
-        is reported.
+        empty file, a header with no data rows, ragged rows (a data row must
+        also have the header's cell count), or any cell that does not parse
+        as a finite number. The message names the offending row and column,
+        1-based; rows count the file's non-blank rows, the header included.
+        Rows are checked in file order and the first fault is reported.
     """
     return _read_plain(path) or _read_rows(path)
 
@@ -141,6 +141,8 @@ def _read_plain(path):
             warnings.simplefilter("error", UserWarning)
             values = np.loadtxt(_plain_lines(fh), delimiter=",", comments=None, ndmin=2)
     except (OSError, ValueError, csv.Error, UserWarning):
+        return None
+    if header is not None and len(header) != values.shape[1]:
         return None
     return (values, header) if np.isfinite(values).all() else None
 
@@ -183,7 +185,8 @@ def _read_rows(path):
                     if line == 1 and parsed is None:
                         column_names = [c.strip() for c in row]
                         continue
-                    n_cols = len(row)
+                    # Data rows must have as many cells as the header.
+                    n_cols = len(column_names or row)
                 if len(row) != n_cols:
                     raise DatasetError(
                         f"{path}: ragged row {line}: expected {n_cols} cells, found {len(row)}"

@@ -54,7 +54,9 @@ Prediction walks every member of an ensemble at once through one table of
 all their nodes (see :func:`_walk`); one tree is the one-member case. The
 table takes the trees deepest first, so at each step the cells still
 moving are a prefix of the walk's tree-major cells, and each tree stops at
-its own depth instead of the deepest tree's.
+its own depth instead of the deepest tree's. Each step gathers into
+buffers allocated once per walk, without a bounds check per gather: the
+table checks every node id and feature id when it is built.
 """
 
 from __future__ import annotations
@@ -167,6 +169,12 @@ def _node_table(trees):
     only ones still moving at step s. Node i's right and left children are
     ``children[2i]`` and ``children[2i + 1]``, ids into the table. A leaf
     reads feature 0 and is both its own children.
+
+    The walk gathers without bounds checks, so the ids are checked here:
+    raises ValueError unless every split node's children lie within its
+    own tree and its feature below the first tree's ``n_features``, the
+    count the walk checks X against, and for a tree whose split nodes
+    form a cycle, which no walk leaves.
     """
     sizes = [tree.n_nodes for tree in trees]
     starts = np.cumsum([0] + sizes[:-1])
@@ -175,6 +183,13 @@ def _node_table(trees):
         for name in ("feature", "threshold", "left", "right", "value")
     )
     inner = feature >= 0
+    kids = np.stack([left[inner], right[inner]])
+    if (((kids < 0) | (kids >= np.repeat(sizes, sizes)[inner])).any()
+            or (feature[inner] >= trees[0].n_features).any()):
+        raise ValueError(
+            "a split node's child id lies outside its tree, or its feature id "
+            f"is not below the trees' {trees[0].n_features} features"
+        )
     offset = np.repeat(starts, sizes)
     ids = np.arange(feature.size)
     children = np.where(inner, np.stack([right, left]) + offset, ids).T.ravel()
@@ -184,6 +199,8 @@ def _node_table(trees):
     level, depth = starts[inner[starts]], 0
     while level.size:
         depth += 1
+        if depth > max(sizes):
+            raise ValueError("a tree's split nodes form a cycle")
         depths[tree_of[level]] = depth
         level = children.reshape(-1, 2)[level].ravel()
         level = level[inner[level]]
@@ -201,6 +218,15 @@ def _walk(table, n_features, X):
     cells, so the index arrays stay small for any n. The cells are
     tree-major with the deepest trees first, so step s moves the prefix of
     cells whose trees are deeper than s, and each tree stops at its depth.
+
+    Each step fills buffers sized to one chunk and allocated once per call:
+    the cells' node ids, the gathered x values, the go-left mask, and one
+    int64 buffer that holds in turn the gather index into x, the gathered
+    thresholds (as floats, once x has been read) and the next node ids.
+    ``np.take`` copies through a buffer of its own when ``out=`` is given
+    in its default mode, "raise", so the gathers use "wrap", which never
+    wraps here: :func:`_node_table` checked every child id and feature id,
+    and X has ``n_features`` columns.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != n_features:
@@ -209,19 +235,30 @@ def _walk(table, n_features, X):
     n, d = X.shape
     out = np.empty((len(roots), n))
     step = max(1, _BATCH_CELLS // len(roots))
+    cells = len(roots) * min(n, step)
+    node, index = np.empty((2, cells), dtype=np.int64)
+    gathered, goes_left = np.empty(cells), np.empty(cells, dtype=bool)
     for start in range(0, n, step):
         rows = X[start : start + step]
         m = len(rows)
         x = rows.ravel()
         # One cell per (tree, row), tree-major: its node, and its row's
         # offset in x.
-        node = np.repeat(roots, m)
+        node[: len(roots) * m].reshape(-1, m)[:] = roots[:, None]
         offset = np.tile(np.arange(m) * d, len(roots))
         for trees in walking:
-            moving = node[: trees * m]
-            goes_left = x[offset[: trees * m] + feature[moving]] <= threshold[moving]
-            moving[:] = children[2 * moving + goes_left]
-        out[order, start : start + m] = value[node].reshape(len(roots), m)
+            c = trees * m
+            moving, at, xs, left = node[:c], index[:c], gathered[:c], goes_left[:c]
+            np.take(feature, moving, out=at, mode="wrap")
+            at += offset[:c]
+            np.take(x, at, out=xs, mode="wrap")
+            np.take(threshold, moving, out=at.view(float), mode="wrap")
+            np.less_equal(xs, at.view(float), out=left)
+            moving <<= 1
+            moving += left
+            np.take(children, moving, out=at, mode="wrap")
+            moving[:] = at
+        out[order, start : start + m] = value[node[: len(roots) * m]].reshape(len(roots), m)
     return out
 
 

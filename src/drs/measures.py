@@ -57,6 +57,13 @@ def score_all(
         )
     observed = region.observed[..., None, :]
     d = region.d_weights[..., None, :]
+    if mid in ("m3", "m4", "m5", "m7"):
+        # The squared differences, in one (B, N, K) array that the measure
+        # reuses; np.square is what x ** 2 computes on floats.
+        squared = np.subtract(observed, preds, dtype=float)
+        np.square(squared, out=squared)
+        if mid != "m3":
+            squared *= d
     if mid == "m1":
         if region.k < 2:
             raise ValueError("m1 needs at least 2 neighbors")
@@ -64,11 +71,11 @@ def score_all(
     elif mid == "m2":
         scores = np.einsum("...nk,...k->...n", np.abs(observed - preds), region.d_weights)
     elif mid == "m3":
-        scores = np.einsum("...nk,...k->...n", (observed - preds) ** 2, region.d_weights)
+        scores = np.einsum("...nk,...k->...n", squared, region.d_weights)
     elif mid == "m4":
-        scores = ((observed - preds) ** 2 * d).min(axis=-1)
+        scores = squared.min(axis=-1)
     elif mid == "m5":
-        scores = ((observed - preds) ** 2 * d).max(axis=-1)
+        scores = squared.max(axis=-1)
     elif mid == "m6":
         if query_predictions is None:
             raise ValueError("m6 requires query_predictions")
@@ -80,7 +87,7 @@ def score_all(
             )
         scores = np.einsum("...nk,...k->...n", (observed - qp[..., None]) ** 2, region.d_weights)
     elif mid == "m7":
-        scores = np.sqrt((observed - preds) ** 2 * d).sum(axis=-1)
+        scores = np.sqrt(squared, out=squared).sum(axis=-1)
     elif mid == "m8":
         scores = (region.observed[..., :1] - preds[..., 0]) ** 2
     else:

@@ -10,10 +10,12 @@ Numerical Algorithms, 2002, section 3.1). The x.r come from matrix products
 over chunks of the block's rows, each of at most 2^18 multiply-adds:
 products that small run on the calling thread, where a larger one wakes a
 BLAS helper thread that then spins between blocks. The bound holds for any
-summation order, so the chunks change no candidate. The exact distances are
-then computed on the block's (row, candidate) pairs alone, and one stable
-sort of the pairs by (row, distance) puts each row's k nearest first, so
-indices and distances match a search over every reference row bit for bit.
+summation order, so the chunks change no candidate. A NaN or inf in a
+query row, or in any reference row, makes the row's bound non-finite, and
+such a row keeps every reference row. The exact distances are then
+computed on the block's (row, candidate) pairs alone, and a stable sort of
+each row's candidates by distance puts its k nearest first, so indices and
+distances match a search over every reference row bit for bit.
 Each neighbor also carries a normalized inverse-distance weight: nearer
 neighbors count more, and the weights sum to one.
 
@@ -76,10 +78,13 @@ def find_neighbors(x, reference_features, k: int):
     are Euclidean, ``sqrt(((r - x) ** 2).sum())`` for each reference row r,
     returned ascending; ties break toward the lower row index, as a stable
     argsort of each row's distances over every reference row. The exact
-    step is that sort, run once over the block: the filter's (row,
-    candidate) pairs, in reference-row order, sorted stably by (row,
-    distance), and the first k of each row's run. Raises DatasetError when
-    a returned distance overflows float64.
+    step is that sort over each row's candidates alone: the filter's
+    candidates, in reference-row order, laid out one row per query and
+    padded with NaN, which sorts after every distance, then sorted stably
+    along each row, and the first k taken. A finite rounding bound implies
+    finite approximate distances (see the comment in the body), so only a
+    row with a non-finite bound keeps every reference row. Raises
+    DatasetError when a returned distance overflows float64.
     """
     ref = np.asarray(reference_features, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -114,19 +119,31 @@ def find_neighbors(x, reference_features, k: int):
         scale = 4.0 * (x_sq + ref_sq.max())
         slack = (2 * d + 8) * (np.finfo(float).eps / 2 * scale + np.finfo(float).tiny)
         limit = np.partition(approx, k - 1, axis=1)[:, k - 1] + 2.0 * slack
+    # A row whose limit is finite has a finite approximation everywhere:
+    # by Cauchy-Schwarz, |x.r| <= (|x|^2 + |r|^2) / 2, so each is at most
+    # about scale / 2, and scale is finite. A NaN or inf in the row, or in
+    # any reference row, makes scale, and so slack and limit, non-finite.
     candidate = approx <= limit[:, None]
-    candidate[~np.isfinite(limit) | ~np.isfinite(approx).all(axis=1)] = True
+    candidate[~np.isfinite(limit)] = True
 
-    # The pairs come row by row, candidates in reference-row order, so one
-    # stable sort by (row, distance) is the tie rule itself. (np.nonzero
+    # The pairs come row by row, candidates in reference-row order. (np.nonzero
     # gives the same pairs, several times slower on a 2-D mask.)
     rows, cand = np.divmod(np.flatnonzero(candidate), len(ref))
     with np.errstate(over="ignore", invalid="ignore"):
         diff = ref[cand] - x[rows]
         diff **= 2
         dist = np.sqrt(diff.sum(axis=-1))
-    run_starts = np.searchsorted(rows, np.arange(len(x)))
-    picked = np.lexsort((dist, rows))[run_starts[:, None] + np.arange(k)]
+    # Each row's distances, in candidate order, padded with NaN to the
+    # block's largest candidate count. A stable sort of each table row is
+    # the tie rule itself, and NaN sorts last, so the padding follows every
+    # real candidate (a NaN distance included). Every row has at least k
+    # candidates, so no pick is padding.
+    counts = candidate.sum(axis=1)
+    run_starts = np.cumsum(counts) - counts
+    table = np.full((len(x), max(k, int(counts.max(initial=0)))), np.nan)
+    table[rows, np.arange(rows.size) - run_starts[rows]] = dist
+    picked = np.argsort(table, axis=1, kind="stable")[:, :k]
+    picked += run_starts[:, None]
     nearest, distances = cand[picked], dist[picked]
     if not np.isfinite(distances).all():
         largest = max(float(np.abs(ref).max()), float(np.abs(x).max()))

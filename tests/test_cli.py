@@ -15,9 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import DATA_DIR, synthetic_dataset, write_csv
 from drs.bench import ALGORITHMS, RunConfig
+from drs import cli
 from drs.cli import CliArgumentError, main, parse_algorithms, parse_measures
 from drs.datasets import load_csv
 from drs.measures import MEASURE_IDS
+from drs.selection import MemberWeights
 
 BENCH_FAST = [
     "--folds", "3", "--reps", "2", "--members", "6", "--k", "3",
@@ -717,6 +719,58 @@ class TestPredict:
         out = capsys.readouterr().out
         assert re.search(r"\(m2: kept \d/6 members: \d\*0\.\d{4}", out)
 
+    @pytest.mark.parametrize("kept", [[1], [9], [10], [11], [1, 9, 10, 11, 14]])
+    def test_dws_note_shows_the_first_ten_survivors(self, kept, train_csv, capsys,
+                                                    monkeypatch, tmp_path):
+        # Rows keep 1, 9, 10, 11 or all 14 members, at scattered positions;
+        # the note lists the first ten (index, weight) pairs and counts the rest.
+        rng = np.random.default_rng(len(kept))
+        selected = np.zeros((len(kept), 14), dtype=bool)
+        for row, n in zip(selected, kept):
+            row[rng.choice(14, n, replace=False)] = True
+        alpha = np.where(selected, rng.uniform(0.01, 0.99, selected.shape), 0.0)
+        weights = MemberWeights(alpha, selected)
+        monkeypatch.setattr(cli, "predict_queries", lambda keys, *args: iter(
+            [(0, {keys[0]: (np.zeros(len(kept)), weights)})]
+        ))
+        query = write_csv(tmp_path / "q.csv", np.zeros((len(kept), 2)), np.zeros(len(kept)))
+        code = main(["predict", "--train", str(train_csv), "--query", str(query), "--algo",
+                     "dws", "--members", "14", "--k", "3", "--normalize", "none"])
+        assert code == 0
+        want = []
+        for j, (row, n) in enumerate(zip(selected, kept)):
+            shown = np.flatnonzero(row)[:10]
+            more = f", +{n - 10} more" if n > 10 else ""
+            pairs = ", ".join(f"{i}*{alpha[j, i]:.4f}" for i in shown)
+            want.append(f"query {j}: 0.000000  (m3: kept {n}/14 members: {pairs}{more})\n")
+        assert capsys.readouterr().out == "".join(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda b: st.integers(1, 25).flatmap(
+        lambda n: st.lists(st.lists(st.booleans(), min_size=n, max_size=n)
+                           .filter(any), min_size=b, max_size=b))))
+    def test_first_survivors_equal_a_stable_argsort(self, mask):
+        selected = np.array(mask)
+        first = cli._first_survivors(selected, 10)
+        want = np.argsort(~selected, axis=1, kind="stable")[:, :10]
+        for row, picked, expected in zip(selected, first, want):
+            shown = min(int(row.sum()), 10)
+            assert (picked[:shown] % selected.shape[1]).tolist() == expected[:shown].tolist()
+
+    def test_a_header_wider_than_the_rows_fails_cleanly(self, tmp_path):
+        train = tmp_path / "hdr.csv"
+        train.write_text("a,b,c,y\n" + "".join(f"{i},{i % 3},{i * i}\n" for i in range(5)))
+        query = tmp_path / "q.csv"
+        query.write_text("1,2\n")
+        done = subprocess.run(
+            [sys.executable, "-m", "drs", "predict", "--train", str(train), "--query",
+             str(query), "--target-col", "y", "--algo", "mean", "--members", "2"],
+            capture_output=True, text=True, env=src_env(), timeout=120, check=False,
+        )
+        assert done.returncode == 1
+        assert done.stderr == f"error: {train}: ragged row 2: expected 4 cells, found 3\n"
+        assert done.stdout == ""
+
     def test_single_tree(self, train_csv, query_csv, capsys):
         code = main(
             ["predict", "--train", str(train_csv), "--query", str(query_csv),
@@ -871,3 +925,17 @@ class TestInspect:
         code = main(["inspect", "--data", str(train_csv), "--row", "36"])
         assert code == 2
         assert "rows 0..35" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_the_console_script_names_main():
+    # Tests run `python -m drs` or main(); this pins the `drs` entry point
+    # that an installed package puts on PATH.
+    import importlib
+    import tomllib
+
+    pyproject = tomllib.loads((DATA_DIR.parent / "pyproject.toml").read_text())
+    scripts = pyproject["project"]["scripts"]
+    assert scripts == {"drs": "drs.cli:main"}
+    module, _, name = scripts["drs"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main

@@ -326,6 +326,8 @@ class TestTwoParsers:
         (b"1,2\n-Infinity,3\n", "non-finite cell '-Infinity' at row 2, column 1"),
         (b"a,b,y\n", "no data rows after header"),
         (b"a,b,y\n\n\r\n", "no data rows after header"),
+        (b"a,b,c,y\n1,2,3\n4,5,6\n", "ragged row 2: expected 4 cells, found 3"),
+        (b"a,b\n1,2,3\n4,5,6\n", "ragged row 2: expected 2 cells, found 3"),
         (b"a,b\r\n1,2\r\n3,4\r\n", ([[1.0, 2.0], [3.0, 4.0]], ["a", "b"])),
         (b"1,2\r3,4\r", ([[1.0, 2.0], [3.0, 4.0]], None)),
         (b'"a","b"\n"1",2\n3," 4 "\n', ([[1.0, 2.0], [3.0, 4.0]], ["a", "b"])),

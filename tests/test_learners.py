@@ -705,6 +705,36 @@ class TestWalk:
             with pytest.raises(ValueError, match=r"expected \(n, 2\) features"):
                 ens.predict_all(bad)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("left", 5), ("right", 5), ("left", -1), ("right", -2), ("feature", 2),
+    ])
+    def test_out_of_range_ids_are_rejected(self, field, bad):
+        # The walk gathers without bounds checks, so the node table refuses a
+        # split node whose child lies outside its tree or whose feature
+        # lies outside the rows; a leaf's fields are never read.
+        arrays = {name: getattr(LEVEL_ORDER_TREE, name).copy()
+                  for name in ("feature", "threshold", "left", "right", "value")}
+        arrays[field][2] = bad
+        tree = RegressionTree(**arrays, n_features=2)
+        probes = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="outside its tree"):
+            tree.predict(probes)
+        # In an ensemble, a child id must lie within its own tree, not the table.
+        with pytest.raises(ValueError, match="outside its tree"):
+            Ensemble((tree, PERMUTED_TREE)).predict_all(probes)
+        leaf = {name: arrays[name].copy() for name in arrays}
+        leaf["feature"][2] = -1
+        assert RegressionTree(**leaf, n_features=2).predict(probes).tolist() == [1.0] * 3
+
+    def test_a_cycle_of_split_nodes_is_rejected(self):
+        # Node 2's right child is the root: every id is in range, but no
+        # walk would reach a leaf.
+        tree = RegressionTree([0, -1, 1, -1, -1], [0.5, np.nan, -0.25, np.nan, np.nan],
+                              [1, -1, 3, -1, -1], [2, -1, 0, -1, -1],
+                              [np.nan, 1.0, np.nan, 2.0, 3.0], n_features=2)
+        with pytest.raises(ValueError, match="form a cycle"):
+            tree.predict(np.zeros((1, 2)))
+
 
 class TestBagging:
     def test_sample_shape_and_range(self):

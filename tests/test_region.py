@@ -87,6 +87,47 @@ class TestFindNeighbors:
         assert idx.tolist() == [[0, 1], [2, 0], [0, 2]]
         assert dist.tolist() == [[1.0, 1.0], [0.0, 1.0], [0.0, 1.0]]
 
+    def test_rows_with_and_without_a_tie_at_the_kth_distance(self):
+        # At k = 3, rows 0 and 2 tie four ways at the k-th distance, row 1
+        # two ways and rows 3 and 4 not at all, so the rows' candidate
+        # counts differ within the block.
+        ref = np.array([[0.0], [2.0], [-2.0], [5.0], [2.0], [9.0], [-2.0], [0.5]])
+        block = np.array([[0.0], [9.0], [0.0], [4.9], [2.0]])
+        for k in (1, 2, 3, 5):
+            idx, dist = find_neighbors(block, ref, k)
+            for x, row_idx, row_dist in zip(block, idx, dist):
+                alone = np.sqrt(((ref - x) ** 2).sum(axis=1))
+                want = np.argsort(alone, kind="stable")[:k]
+                assert row_idx.tolist() == want.tolist()
+                assert row_dist.tobytes() == alone[want].tobytes()
+        assert find_neighbors(block, ref, 3)[0][[0, 2]].tolist() == [[0, 7, 1], [0, 7, 1]]
+
+    def test_an_empty_block(self):
+        idx, dist = find_neighbors(np.empty((0, 2)), np.zeros((4, 2)), 3)
+        assert idx.shape == dist.shape == (0, 3)
+        assert idx.dtype == np.int64 and dist.dtype == float
+
+    def test_non_finite_rows_in_a_block(self):
+        ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 3.0]])
+        message = ("features reach |x| = {}; the neighbour distances overflow float64 "
+                   "(--normalize global scales the training features, but a query far "
+                   "outside their range overflows even after normalisation)")
+        # A NaN query row among finite ones keeps every reference row as a
+        # candidate and fails the block.
+        block = np.array([[0.5, 0.5], [np.nan, 1.0], [2.0, 2.0]])
+        with pytest.raises(DatasetError) as err:
+            find_neighbors(block, ref, 2)
+        assert str(err.value) == message.format(3)
+        # An inf reference row is every row's farthest: it fails a block only
+        # when k reaches it.
+        ref = np.vstack([ref, [[np.inf, 0.0]]])
+        idx, dist = find_neighbors(block[[0, 2]], ref, 2)
+        assert idx.tolist() == [[0, 1], [3, 2]]
+        assert dist.tolist() == [[math.sqrt(0.5)] * 2, [math.sqrt(2.0), 2.0]]
+        with pytest.raises(DatasetError) as err:
+            find_neighbors(block[[0, 2]], ref, 5)
+        assert str(err.value) == message.format("inf")
+
     def test_peak_memory_stays_far_below_the_full_distance_temporary(self):
         rng = np.random.default_rng(0)
         ref = rng.random((20_000, 13))
