@@ -194,6 +194,73 @@ def _first_survivors(selected, count):
     return survivors[np.minimum(positions, survivors.size - 1)]
 
 
+# The text of every n // 100 and n % 100 for n in 0..10000: "0.37" and "05".
+_HUNDREDTHS = np.array([f"{q // 100}.{q % 100:02d}" for q in range(101)], dtype=object)
+_DIGIT_PAIRS = np.array([f"{r:02d}" for r in range(100)], dtype=object)
+
+
+def _four_places(w):
+    """``'%.4f' % x`` for every x of the float array ``w``, as two object
+    arrays of strings whose concatenation is that text.
+
+    An x in [0, 1] is spelled from n = rint(x * 1e4) by two table lookups.
+    x * 1e4 rounds once, and every half-integer below 2^52 is a float, so
+    unless the rounded product is itself a half-integer, the exact product
+    lies on the same side of every half-integer, and rint gives the
+    correctly rounded n that '%.4f' prints. Any other x (negative, -0.0,
+    above 1, NaN or inf), and any x whose product is a half-integer, is
+    formatted by '%.4f' itself, whole in the first array.
+    """
+    w = np.asarray(w, dtype=float)
+    exact = (w <= 1) & ~np.signbit(w)
+    scaled = np.where(exact, w, 0.0) * 1e4
+    n = np.rint(scaled)
+    exact &= np.abs(scaled - n) != 0.5
+    hundredths, pairs = np.divmod(n.astype(np.intp), 100)
+    head, tail = _HUNDREDTHS[hundredths], _DIGIT_PAIRS[pairs]
+    for i in zip(*np.nonzero(~exact)):
+        head[i], tail[i] = "%.4f" % w[i], ""
+    return head, tail
+
+
+def _labels(values, spell):
+    """``spell(v)`` for every nonnegative int v of the array ``values``, as an
+    object array of its shape, calling ``spell`` once per distinct value.
+    (Marking the values present, rather than np.unique, keeps numpy's integer
+    sort kernels, half a megabyte of code pages, out of resident memory.)"""
+    present = np.zeros(values.max(initial=-1) + 1, dtype=bool)
+    present[values] = True
+    distinct = np.flatnonzero(present)
+    texts = np.empty(present.size, dtype=object)
+    texts[distinct] = [spell(v) for v in distinct.tolist()]
+    return texts[values]
+
+
+def _dws_pieces(heads, weights, measure):
+    """One block's DWS lines as string pieces, in order. Each row is laid
+    out in 33 columns: its head, ``kept n/N members:``, then for each of
+    the first ten survivors its index and the two halves of its weight, and
+    the ``, +k more)`` tail, which ends the row right after its last shown
+    pair."""
+    selected = weights.selected
+    n_members = selected.shape[1]
+    first = _first_survivors(selected, 10)
+    index = first % n_members
+    kept = selected.sum(axis=1)
+    ends = 2 + 3 * np.minimum(kept, 10)
+    pieces = np.empty((len(kept), 33), dtype=object)
+    pieces[:, 0] = heads
+    pieces[:, 1] = _labels(kept, f"  ({measure}: kept {{}}/{n_members} members: ".format)
+    pairs = pieces[:, 2:32].reshape(len(kept), 10, 3)  # a view: index, weight head, tail
+    pairs[:, 0, 0] = _labels(index[:, 0], "{}*".format)
+    pairs[:, 1:, 0] = _labels(index[:, 1:], ", {}*".format)
+    pairs[:, :, 1], pairs[:, :, 2] = _four_places(weights.alpha.ravel()[first])
+    pieces[np.arange(len(kept)), ends] = _labels(
+        kept, lambda n: f", +{n - 10} more)\n" if n > 10 else ")\n"
+    )
+    return pieces[np.arange(33) <= ends[:, None]]
+
+
 def cmd_predict(ns) -> int:
     _require_sizes(ns)
     algo = ns.algo
@@ -214,36 +281,21 @@ def cmd_predict(ns) -> int:
     answers = predict_queries(
         [key], fitted.features, fitted.targets, query, ns.k, ensemble, individual,
     )
-    if algo == "dws":
-        # The DWS note shows the first 10 survivors; one template per count shown.
-        dws_notes = [
-            f"  ({measure}: kept %d/{len(ensemble.members)} members: "
-            + ", ".join(["%d*%.4f"] * shown) + "%s)"
-            for shown in range(11)
-        ]
+    # Each block's lines are a (B, columns) array of string pieces, written
+    # with one join.
     for start, answer in answers:
         values, provenance = answer[key]
         if params:
             values = denormalize_targets(values, params)
-        notes = [""] * len(values)
-        if algo == "ds":
-            notes = [f"  ({measure}: selected member {i})" for i in provenance.tolist()]
-        elif algo == "dws":
-            # The first 10 survivors of each row, as (index, weight) pairs of
-            # Python ints and floats, so % formats them as the note shows them.
-            first = _first_survivors(provenance.selected, 10)
-            pairs = np.empty((len(first), 20), dtype=object)
-            pairs[:, 0::2] = first % provenance.selected.shape[1]
-            pairs[:, 1::2] = provenance.alpha.ravel()[first]
-            kept = provenance.selected.sum(axis=1).tolist()
-            for j, (n, row) in enumerate(zip(kept, pairs.tolist())):
-                shown = min(n, 10)
-                more = f", +{n - 10} more" if n > 10 else ""
-                notes[j] = dws_notes[shown] % (n, *row[: 2 * shown], more)
-        sys.stdout.write("".join(
-            f"query {j}: {v:.6f}{note}\n"
-            for j, (v, note) in enumerate(zip(values.tolist(), notes), start=start)
-        ))
+        heads = [f"query {j}: {v:.6f}" for j, v in enumerate(values.tolist(), start=start)]
+        if algo == "dws":
+            pieces = _dws_pieces(heads, provenance, measure)
+        else:
+            pieces = np.full((len(heads), 2), "\n", dtype=object)
+            pieces[:, 0] = heads
+            if algo == "ds":
+                pieces[:, 1] = _labels(provenance, f"  ({measure}: selected member {{}})\n".format)
+        sys.stdout.write("".join(pieces.ravel().tolist()))
     return 0
 
 

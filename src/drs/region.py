@@ -84,7 +84,9 @@ def find_neighbors(x, reference_features, k: int):
     along each row, and the first k taken. A finite rounding bound implies
     finite approximate distances (see the comment in the body), so only a
     row with a non-finite bound keeps every reference row. Raises
-    DatasetError when a returned distance overflows float64.
+    DatasetError when a returned distance is not finite: naming the first
+    query row, or else returned reference row, that holds a NaN, or else
+    the overflow of float64.
     """
     ref = np.asarray(reference_features, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -146,6 +148,16 @@ def find_neighbors(x, reference_features, k: int):
     picked += run_starts[:, None]
     nearest, distances = cand[picked], dist[picked]
     if not np.isfinite(distances).all():
+        # A NaN feature, not an overflow, when a query row or a returned
+        # reference row holds one (Python's max would drop the NaN below).
+        nan_query = np.flatnonzero(np.isnan(x).any(axis=1))
+        nan_reference = nearest[np.isnan(ref).any(axis=1)[nearest]]
+        for side, rows in (("query", nan_query), ("reference", nan_reference)):
+            if rows.size:
+                raise DatasetError(
+                    f"{side} row {rows[0]} has a NaN feature, so its neighbour "
+                    "distances are NaN"
+                )
         largest = max(float(np.abs(ref).max()), float(np.abs(x).max()))
         raise DatasetError(
             f"features reach |x| = {largest:.6g}; the neighbour distances overflow "

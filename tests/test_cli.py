@@ -719,31 +719,49 @@ class TestPredict:
         out = capsys.readouterr().out
         assert re.search(r"\(m2: kept \d/6 members: \d\*0\.\d{4}", out)
 
-    @pytest.mark.parametrize("kept", [[1], [9], [10], [11], [1, 9, 10, 11, 14]])
-    def test_dws_note_shows_the_first_ten_survivors(self, kept, train_csv, capsys,
+    @pytest.mark.parametrize("kept, members", [
+        ([1], 14), ([9], 14), ([10], 14), ([11], 14), ([1, 9, 10, 11, 14], 14),
+        ([12, 3], 12), ([11, 120, 3], 120),
+    ], ids=[f"kept{i}" for i in range(7)])
+    def test_dws_note_shows_the_first_ten_survivors(self, kept, members, train_csv, capsys,
                                                     monkeypatch, tmp_path):
         # Rows keep 1, 9, 10, 11 or all 14 members, at scattered positions;
         # the note lists the first ten (index, weight) pairs and counts the rest.
+        # Two more ensembles: one row keeps all 12 of 12 members, and one of
+        # 120 members shows indices of three digits. Their first row's first
+        # weights are 1.0 and two whose products by 1e4 are about 0.5 and
+        # 1.5: 0.00005 takes the formatter's '%.4f' fallback.
         rng = np.random.default_rng(len(kept))
-        selected = np.zeros((len(kept), 14), dtype=bool)
+        selected = np.zeros((len(kept), members), dtype=bool)
         for row, n in zip(selected, kept):
-            row[rng.choice(14, n, replace=False)] = True
+            row[rng.choice(members, n, replace=False)] = True
+        if members == 120:
+            selected[-1] = False
+            selected[-1, [7, 100, 119]] = True
         alpha = np.where(selected, rng.uniform(0.01, 0.99, selected.shape), 0.0)
+        if members != 14:
+            alpha[0, np.flatnonzero(selected[0])[:3]] = [1.0, 0.00005, 0.00015]
         weights = MemberWeights(alpha, selected)
         monkeypatch.setattr(cli, "predict_queries", lambda keys, *args: iter(
             [(0, {keys[0]: (np.zeros(len(kept)), weights)})]
         ))
         query = write_csv(tmp_path / "q.csv", np.zeros((len(kept), 2)), np.zeros(len(kept)))
         code = main(["predict", "--train", str(train_csv), "--query", str(query), "--algo",
-                     "dws", "--members", "14", "--k", "3", "--normalize", "none"])
+                     "dws", "--members", str(members), "--k", "3", "--normalize", "none"])
         assert code == 0
         want = []
         for j, (row, n) in enumerate(zip(selected, kept)):
             shown = np.flatnonzero(row)[:10]
             more = f", +{n - 10} more" if n > 10 else ""
             pairs = ", ".join(f"{i}*{alpha[j, i]:.4f}" for i in shown)
-            want.append(f"query {j}: 0.000000  (m3: kept {n}/14 members: {pairs}{more})\n")
-        assert capsys.readouterr().out == "".join(want)
+            want.append(f"query {j}: 0.000000  (m3: kept {n}/{members} members: {pairs}{more})\n")
+        out = capsys.readouterr().out
+        assert out == "".join(want)
+        if members != 14:
+            assert "*1.0000, " in out and out.count("*0.0001") == 2
+        if members == 120:
+            last = out.splitlines()[-1]
+            assert ": 7*" in last and ", 100*" in last and ", 119*" in last
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 8).flatmap(lambda b: st.integers(1, 25).flatmap(
@@ -896,6 +914,43 @@ class TestPredict:
                      "--algo", algo, "--members", "3"])
         assert code == 0
         assert capsys.readouterr().out.startswith("query 0: ")
+
+
+def spelled(values):
+    """``cli._four_places`` of ``values``, each pair of halves joined."""
+    head, tail = cli._four_places(np.array(values, dtype=float))
+    assert head.shape == tail.shape == np.shape(values)
+    return [h + t for h, t in zip(head.ravel().tolist(), tail.ravel().tolist())]
+
+
+@st.composite
+def four_place_ties(draw):
+    """The float nearest an exact '%.4f' tie, (k + 0.5) / 1e4, or a neighbour of it."""
+    x = (draw(st.integers(0, 9_999)) + 0.5) / 1e4
+    return draw(st.sampled_from([x, math.nextafter(x, 0.0), math.nextafter(x, 2.0)]))
+
+
+class TestFourPlaces:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.floats(0.0, 1.0), st.floats(-2.0, 2.0),
+                              st.floats(0.0, 1e-300), four_place_ties()),
+                    min_size=1, max_size=40))
+    def test_equals_percent_format(self, values):
+        # Arbitrary floats (NaN, +-inf, -0.0, subnormals, negatives, values
+        # above 1) and exact ties with their neighbours.
+        assert spelled(values) == ["%.4f" % x for x in values]
+
+    def test_pinned_values(self):
+        values = [0.0, 1.0, 0.00005, 0.00015, 0.12345, 0.99995, -0.0]
+        assert spelled(values) == [
+            "0.0000", "1.0000", "0.0001", "0.0001", "0.1235", "1.0000", "-0.0000",
+        ]
+
+    def test_a_block_keeps_its_shape(self):
+        values = [[0.25, math.nan, 1.5], [0.00005, -0.0, 0.123456]]
+        assert spelled(values) == [
+            "0.2500", "nan", "1.5000", "0.0001", "-0.0000", "0.1235",
+        ]
 
 
 class TestInspect:

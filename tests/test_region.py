@@ -113,11 +113,20 @@ class TestFindNeighbors:
                    "(--normalize global scales the training features, but a query far "
                    "outside their range overflows even after normalisation)")
         # A NaN query row among finite ones keeps every reference row as a
-        # candidate and fails the block.
+        # candidate and fails the block, with the NaN named: no distance
+        # overflowed.
         block = np.array([[0.5, 0.5], [np.nan, 1.0], [2.0, 2.0]])
         with pytest.raises(DatasetError) as err:
             find_neighbors(block, ref, 2)
-        assert str(err.value) == message.format(3)
+        assert str(err.value) == "query row 1 has a NaN feature, so its neighbour distances are NaN"
+        # A NaN reference row sorts after every finite distance: it fails a
+        # block only when k reaches it, and then it is named.
+        nan_ref = np.vstack([ref, [[np.nan, 0.0]]])
+        idx, _ = find_neighbors(block[[0, 2]], nan_ref, 4)
+        assert idx.tolist() == [[0, 1, 2, 3], [3, 2, 1, 0]]
+        with pytest.raises(DatasetError) as err:
+            find_neighbors(block[[0, 2]], nan_ref, 5)
+        assert str(err.value) == "reference row 4 has a NaN feature, so its neighbour distances are NaN"
         # An inf reference row is every row's farthest: it fails a block only
         # when k reaches it.
         ref = np.vstack([ref, [[np.inf, 0.0]]])
