@@ -41,7 +41,7 @@ DYNAMIC_ALGORITHMS = ("ds", "dw", "dws")
 NORMALIZATION_MODES = ("global", "fold", "none")
 SCALES = ("1e-4", "raw")
 # Largest cell count of one query block's per-query temporaries: the
-# (B, n_reference) approximate squared distances of the neighbour search and
+# (B, n_reference) filter values of the neighbour search and
 # the (N, B, k) member predictions on the neighbours, with the measures'
 # (B, N, k) temporaries of the same size.
 _QUERY_CELLS = 1 << 18
@@ -162,7 +162,7 @@ def displayed_value(mean: float, scale: str = "1e-4") -> float:
 
 def _block_rows(reference_X, k, n_members) -> int:
     """Query rows per block: as many as keep the largest per-query temporary,
-    n_reference approximate distances or n_members * k gathered predictions,
+    n_reference filter values or n_members * k gathered predictions,
     under ``_QUERY_CELLS`` cells. Pass k 1 when nothing is gathered, so the
     block's n_members query predictions count, and n_members 0 when no
     ensemble predicts."""

@@ -54,9 +54,12 @@ Prediction walks every member of an ensemble at once through one table of
 all their nodes (see :func:`_walk`); one tree is the one-member case. The
 table takes the trees deepest first, so at each step the cells still
 moving are a prefix of the walk's tree-major cells, and each tree stops at
-its own depth instead of the deepest tree's. Each step gathers into
-buffers allocated once per walk, without a bounds check per gather: the
-table checks every node id and feature id when it is built.
+its own depth instead of the deepest tree's. Node ids in the table are
+doubled, with each node's threshold and feature side by side, so a cell
+moves to a child by adding its go-left bit to its id and gathering there.
+Each step gathers into buffers allocated once per walk, without a bounds
+check per gather: the table checks every node id and feature id when it
+is built.
 """
 
 from __future__ import annotations
@@ -162,19 +165,22 @@ class RegressionTree:
 def _node_table(trees):
     """The nodes of ``trees`` in one flat table, for :func:`_walk`.
 
-    Returns (order, roots, feature, threshold, children, value, walking).
-    The walk takes the trees deepest first, ties in the given order: its
-    t-th tree is ``trees[order[t]]``, rooted at node ``roots[t]``, and
-    ``walking[s]`` trees are deeper than s, so they come first and are the
-    only ones still moving at step s. Node i's right and left children are
-    ``children[2i]`` and ``children[2i + 1]``, ids into the table. A leaf
-    reads feature 0 and is both its own children.
+    Returns (order, roots, slots, children, walking). Node ids in the table
+    are doubled: node i owns slots 2i and 2i + 1 of ``slots`` and of
+    ``children``. ``slots[2i]`` holds split node i's threshold, or leaf i's
+    value, as the bits of a float64, and ``slots[2i + 1]`` its feature, 0
+    for a leaf. Its right and left children are ``children[2i]`` and
+    ``children[2i + 1]``, each stored doubled, and a leaf is both its own
+    children. The walk takes the trees deepest first, ties in the given
+    order: its t-th tree is ``trees[order[t]]``, rooted at id ``roots[t]``,
+    and ``walking[s]`` trees are deeper than s, so they come first and are
+    the only ones still moving at step s.
 
-    The walk gathers without bounds checks, so the ids are checked here:
-    raises ValueError unless every split node's children lie within its
-    own tree and its feature below the first tree's ``n_features``, the
-    count the walk checks X against, and for a tree whose split nodes
-    form a cycle, which no walk leaves.
+    The walk gathers without bounds checks, so the ids are checked here,
+    once, before the doubling: raises ValueError unless every split node's
+    children lie within its own tree and its feature below the first
+    tree's ``n_features``, the count the walk checks X against, and for a
+    tree whose split nodes form a cycle, which no walk leaves.
     """
     sizes = [tree.n_nodes for tree in trees]
     starts = np.cumsum([0] + sizes[:-1])
@@ -206,7 +212,10 @@ def _node_table(trees):
         level = level[inner[level]]
     order = np.argsort(-depths, kind="stable")
     walking = len(trees) - np.cumsum(np.bincount(depths))[:-1]
-    return order, starts[order], np.where(inner, feature, 0), threshold, children, value, walking
+    slots = np.empty(2 * feature.size, dtype=np.int64)
+    slots[1::2] = np.where(inner, feature, 0)
+    slots.view(float)[::2] = np.where(inner, threshold, value)
+    return order, 2 * starts[order], slots, 2 * children, walking
 
 
 def _walk(table, n_features, X):
@@ -219,24 +228,30 @@ def _walk(table, n_features, X):
     tree-major with the deepest trees first, so step s moves the prefix of
     cells whose trees are deeper than s, and each tree stops at its depth.
 
-    Each step fills buffers sized to one chunk and allocated once per call:
-    the cells' node ids, the gathered x values, the go-left mask, and one
-    int64 buffer that holds in turn the gather index into x, the gathered
-    thresholds (as floats, once x has been read) and the next node ids.
-    ``np.take`` copies through a buffer of its own when ``out=`` is given
-    in its default mode, "raise", so the gathers use "wrap", which never
-    wraps here: :func:`_node_table` checked every child id and feature id,
-    and X has ``n_features`` columns.
+    A cell holds its node's doubled id 2i, so it moves by adding its
+    go-left bit and gathering ``children`` there. Each step fills buffers
+    sized to one chunk and allocated once per call: the gathered x values,
+    the go-left mask and two int64 buffers. One holds the cells' ids; the
+    other holds in turn the gather index into x, the gathered thresholds
+    (as floats, once x has been read) and the next ids, and then the two
+    swap roles. A tree's cells stop changing when it stops, so they are
+    copied into the other buffer once, at that step, and both buffers keep
+    them. ``np.take`` copies through a buffer of its own when ``out=`` is
+    given in its default mode, "raise", so the gathers use "wrap", which
+    never wraps here: :func:`_node_table` checked every child id and
+    feature id, and X has ``n_features`` columns.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != n_features:
         raise ValueError(f"expected (n, {n_features}) features, got shape {X.shape}")
-    order, roots, feature, threshold, children, value, walking = table
+    order, roots, slots, children, walking = table
+    # At a doubled id 2i: node i's threshold (a leaf's value), and its feature.
+    threshold, feature = slots.view(float), slots[1:]
     n, d = X.shape
     out = np.empty((len(roots), n))
     step = max(1, _BATCH_CELLS // len(roots))
     cells = len(roots) * min(n, step)
-    node, index = np.empty((2, cells), dtype=np.int64)
+    node, spare = np.empty((2, cells), dtype=np.int64)
     gathered, goes_left = np.empty(cells), np.empty(cells, dtype=bool)
     for start in range(0, n, step):
         rows = X[start : start + step]
@@ -246,19 +261,22 @@ def _walk(table, n_features, X):
         # offset in x.
         node[: len(roots) * m].reshape(-1, m)[:] = roots[:, None]
         offset = np.tile(np.arange(m) * d, len(roots))
+        stopped = len(roots) * m
         for trees in walking:
             c = trees * m
-            moving, at, xs, left = node[:c], index[:c], gathered[:c], goes_left[:c]
+            spare[c:stopped] = node[c:stopped]
+            stopped = c
+            moving, at, xs, left = node[:c], spare[:c], gathered[:c], goes_left[:c]
             np.take(feature, moving, out=at, mode="wrap")
             at += offset[:c]
             np.take(x, at, out=xs, mode="wrap")
             np.take(threshold, moving, out=at.view(float), mode="wrap")
             np.less_equal(xs, at.view(float), out=left)
-            moving <<= 1
             moving += left
             np.take(children, moving, out=at, mode="wrap")
-            moving[:] = at
-        out[order, start : start + m] = value[node[: len(roots) * m]].reshape(len(roots), m)
+            node, spare = spare, node
+        # Every cell is at a leaf now, whose threshold slot holds its value.
+        out[order, start : start + m] = threshold[node[: len(roots) * m]].reshape(len(roots), m)
     return out
 
 

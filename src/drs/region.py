@@ -3,19 +3,23 @@
 Neighbor search is exact, with Euclidean distance; the training folds this
 library targets are small enough that an index would buy nothing, and
 exactness keeps the competence scores auditable. It runs in two steps. A
-filter computes approximate squared distances, |x|^2 + |r|^2 - 2 x.r, and
-keeps as candidates the reference rows within a rigorous rounding bound of
-each query's k-th approximate value (Higham, Accuracy and Stability of
-Numerical Algorithms, 2002, section 3.1). The x.r come from matrix products
-over chunks of the block's rows, each of at most 2^18 multiply-adds:
-products that small run on the calling thread, where a larger one wakes a
-BLAS helper thread that then spins between blocks. The bound holds for any
-summation order, so the chunks change no candidate. A NaN or inf in a
-query row, or in any reference row, makes the row's bound non-finite, and
-such a row keeps every reference row. The exact distances are then
-computed on the block's (row, candidate) pairs alone, and a stable sort of
-each row's candidates by distance puts its k nearest first, so indices and
-distances match a search over every reference row bit for bit.
+filter ranks the reference rows by h = |r|^2 / 2 - x.r, half the squared
+distance less |x|^2 / 2, which is the same for all of a query's rows. Each
+query's threshold is the k-th smallest of the minima of 8k groups of
+reference rows (or of the rows themselves, when there are fewer), which is
+never below its k-th smallest h, and the filter keeps as candidates the
+reference rows within a rigorous rounding bound of it (Higham, Accuracy
+and Stability of Numerical Algorithms, 2002, section 3.1). The x.r come
+from matrix products over chunks of the block's rows, each of at most 2^18
+multiply-adds: products that small run on the calling thread, where a
+larger one wakes a BLAS helper thread that then spins between blocks. The
+bound holds for any summation order, so the chunks change no candidate. A
+NaN or inf in a query row, or in any reference row, makes the row's bound
+non-finite, and such a row keeps every reference row. The exact distances
+are then computed on the block's (row, candidate) pairs alone, and a
+stable sort of each row's candidates by distance puts its k nearest first,
+so indices and distances match a search over every reference row bit for
+bit.
 Each neighbor also carries a normalized inverse-distance weight: nearer
 neighbors count more, and the weights sum to one.
 
@@ -82,7 +86,7 @@ def find_neighbors(x, reference_features, k: int):
     candidates, in reference-row order, laid out one row per query and
     padded with NaN, which sorts after every distance, then sorted stably
     along each row, and the first k taken. A finite rounding bound implies
-    finite approximate distances (see the comment in the body), so only a
+    a finite h everywhere (see the comment in the body), so only a
     row with a non-finite bound keeps every reference row. Raises
     DatasetError when a returned distance is not finite: naming the first
     query row, or else returned reference row, that holds a NaN, or else
@@ -98,34 +102,44 @@ def find_neighbors(x, reference_features, k: int):
         raise ValueError(f"queries must be a (B, {ref.shape[1]}) block of features, got {x.shape}")
     d = ref.shape[1]
     step = max(1, _PRODUCT_CELLS // max(1, ref.size))  # query rows per product
+    groups = min(len(ref), 8 * k)
     # Rounding bound. Each squared distance, and each |x|^2 + |r|^2 + 2|x.r|,
-    # is at most scale / 2. Summed in any order, with or without FMA, the
-    # approximation is off by at most about (d + 3) u scale / 2, and the
-    # exact expression with its sqrt by about (d + 4) u scale / 2 (Higham
-    # 2002, section 3.1; u is the unit roundoff, and the smallest normal
-    # number covers underflow). 2 * slack is about twice their sum, so every
-    # row whose exact distance is at most the k-th, ties after the sqrt
-    # included, has its approximation within 2 * slack of the k-th
-    # approximation. A row whose bound is not finite (overflow, inf or nan)
-    # keeps every reference row, so overflow here is expected; the exact step
-    # below reports it only where it reaches a returned distance.
+    # is at most scale / 2, so |h| is at most scale / 4. Summed in any order,
+    # with or without FMA, h is off by at most about (d + 1) u scale / 4, and
+    # half the exact expression with its sqrt by about (d + 4) u scale / 4
+    # (Higham 2002, section 3.1; u is the unit roundoff, and the smallest
+    # normal number covers underflow). slack is about four times their sum,
+    # and twice their sum is enough for every row whose exact distance is at
+    # most the k-th, ties after the sqrt included, to have its h within
+    # slack of the k-th smallest h. The threshold is the k-th smallest of
+    # the minima of ``groups`` column groups, column j in group j mod
+    # groups. The minima are the values of distinct columns, so it is never
+    # below the k-th smallest h, and the candidates hold every such row. A
+    # row whose bound is not finite (overflow, inf or nan) keeps every
+    # reference row, so overflow here is expected; the exact step below
+    # reports it only where it reaches a returned distance.
     with np.errstate(over="ignore", invalid="ignore"):
         ref_sq = np.einsum("ij,ij->i", ref, ref)
         x_sq = np.einsum("ij,ij->i", x, x)
-        approx = np.empty((len(x), len(ref)))
+        half_ref_sq, neg_ref = ref_sq / 2.0, -ref
+        h = np.empty((len(x), len(ref)))
         for start in range(0, len(x), step):
-            np.matmul(x[start : start + step], ref.T, out=approx[start : start + step])
-        approx *= -2.0
-        approx += ref_sq
-        approx += x_sq[:, None]
+            chunk = h[start : start + step]
+            np.matmul(x[start : start + step], neg_ref.T, out=chunk)
+            chunk += half_ref_sq
+        # The group minima from strided views of h: whole rounds of groups,
+        # then the columns left over, which fall in the first groups.
+        rounds, extra = divmod(len(ref), groups)
+        minima = h[:, : rounds * groups].reshape(len(x), rounds, groups).min(axis=1)
+        np.minimum(minima[:, :extra], h[:, rounds * groups :], out=minima[:, :extra])
         scale = 4.0 * (x_sq + ref_sq.max())
         slack = (2 * d + 8) * (np.finfo(float).eps / 2 * scale + np.finfo(float).tiny)
-        limit = np.partition(approx, k - 1, axis=1)[:, k - 1] + 2.0 * slack
-    # A row whose limit is finite has a finite approximation everywhere:
-    # by Cauchy-Schwarz, |x.r| <= (|x|^2 + |r|^2) / 2, so each is at most
-    # about scale / 2, and scale is finite. A NaN or inf in the row, or in
-    # any reference row, makes scale, and so slack and limit, non-finite.
-    candidate = approx <= limit[:, None]
+        limit = np.partition(minima, k - 1, axis=1)[:, k - 1] + slack
+    # A row whose limit is finite has a finite h everywhere: by
+    # Cauchy-Schwarz, |x.r| <= (|x|^2 + |r|^2) / 2, so each is at most about
+    # scale / 8, and scale is finite. A NaN or inf in the row, or in any
+    # reference row, makes scale, and so slack and limit, non-finite.
+    candidate = h <= limit[:, None]
     candidate[~np.isfinite(limit)] = True
 
     # The pairs come row by row, candidates in reference-row order. (np.nonzero

@@ -694,6 +694,31 @@ class TestWalk:
             got = Ensemble(tuple(trees)).predict_all(probes)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("cells", [1, learners._BATCH_CELLS])
+    def test_trees_stopping_at_odd_and_even_steps(self, cells):
+        # The walk's two id buffers swap roles at every step, so a tree that
+        # stops after an odd number of steps leaves its cells in the other
+        # buffer from one that stops after an even number. Combs of depths 0
+        # to 5 stop after every count of steps from 0 to 5: comb(D) sends
+        # x <= j + 0.5 left to leaf j at split j, and the rest to leaf D.
+        def comb(depth):
+            ids = np.arange(depth)
+            feature, left, right = (np.full(2 * depth + 1, -1) for _ in range(3))
+            threshold, value = np.full((2, 2 * depth + 1), np.nan)
+            feature[2 * ids], threshold[2 * ids] = 0, ids + 0.5
+            left[2 * ids], right[2 * ids] = 2 * ids + 1, 2 * ids + 2
+            value[2 * ids + 1], value[-1] = ids, depth
+            return RegressionTree(feature, threshold, left, right, value, 1)
+
+        trees = [comb(depth) for depth in (2, 0, 5, 1, 4, 3)]
+        probes = np.append(np.arange(-1.0, 7.0, 0.25), [np.nan, np.inf, -np.inf])[:, None]
+        want = np.array([reference_predict(tree, probes) for tree in trees])
+        assert [_tree_depth(tree) for tree in trees] == [2, 0, 5, 1, 4, 3]
+        with mock.patch.object(learners, "_BATCH_CELLS", cells):
+            got = Ensemble(tuple(trees)).predict_all(probes)
+        assert got.tobytes() == want.tobytes()
+        assert got[2, :8].tolist() == [0.0] * 7 + [1.0]
+
     def test_nan_goes_right_and_a_threshold_left(self):
         probes = np.array([[np.nan, 0.0], [0.5, np.nan], [1.0, -0.25], [np.inf, np.nan]])
         for tree in (LEVEL_ORDER_TREE, PERMUTED_TREE):

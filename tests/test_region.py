@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import reference_find_neighbors
-from drs.datasets import DatasetError
+from conftest import DATA_DIR, reference_find_neighbors
+from drs.datasets import DatasetError, load_csv, normalize_minmax
 from drs.learners import generate_ensemble
 from drs.region import build_region, find_neighbors, inverse_distance_weights
 
@@ -150,6 +150,21 @@ class TestFindNeighbors:
         # A (64, 20000, 13) float temporary would take 133 MB.
         assert peak < 64 * 20_000 * 13 * 8 / 4
 
+    def test_peak_memory_of_one_housing_block(self):
+        # One block of `drs predict` at k = 10: 262 rows against housing's 506
+        # reference rows. The search peaked at 2,136,952 bytes here when its
+        # threshold came from a partition of every row (numpy 2.4.6); one
+        # more copy of the (262, 506) filter matrix would add 1.06 MB.
+        ref = normalize_minmax(load_csv(DATA_DIR / "housing.csv"))[0].features
+        x = np.random.default_rng(0).random((262, ref.shape[1]))
+        tracemalloc.start()
+        try:
+            find_neighbors(x, ref, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 2_136_952
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="features"):
             find_neighbors(np.zeros((1, 3)), np.zeros((5, 2)), 1)
@@ -161,8 +176,10 @@ def neighbor_problems(draw):
     near 1e155, where the squares overflow), offset by up to 1e8, with up
     to 16 features (numpy sums 8 or more values in 8 partial sums): coarse
     grids with ties at the k-th distance, duplicated reference rows, queries
-    equal to reference rows (zero distances), k up to n and n down to 1."""
-    n = draw(st.integers(1, 24))
+    equal to reference rows (zero distances), k up to n and n from 1 to 64,
+    so that where 8k < n the filter's 8k column groups hold several
+    columns each, and some one more than others."""
+    n = draw(st.integers(1, 64))
     d = draw(st.integers(1, 16))
     if draw(st.booleans()):
         values = st.integers(-2, 2).map(float)
@@ -185,6 +202,18 @@ def neighbor_problems(draw):
 _HUGE = np.random.default_rng(0).random((11, 2)) * 1e155
 
 
+# At k = 2 the filter takes the minima of 16 column groups, column j in group
+# j mod 16. Columns 3 and 51 are the two nearest, both in group 3, so the
+# threshold is the second smallest group minimum, column 7's.
+_ONE_GROUP = np.arange(64.0)[:, None] + 10.0
+_ONE_GROUP[[3, 51, 7]] = [[0.5], [0.25], [1.0]]
+# At k = 3 there are 24 groups, of three columns (0-15) or two (16-23).
+# Columns 20 and 5 are nearest; columns 29 (group 5, behind column 5) and
+# 38 (group 14) tie at the k-th distance, and the lower index is taken.
+_TIED = np.arange(64.0)[:, None] + 10.0
+_TIED[[20, 5, 29, 38]] = [[0.5], [1.0], [-2.0], [2.0]]
+
+
 # The full search squares differences near 1e155 and overflows to inf.
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=400, deadline=None)
@@ -195,6 +224,8 @@ _HUGE = np.random.default_rng(0).random((11, 2)) * 1e155
 # Every query is a reference row, its own nearest at distance 0: all rows
 # are kept and the one returned distance is finite.
 @example((_HUGE[3:6], _HUGE[3:], 1), 2)
+@example((np.zeros((2, 1)), _ONE_GROUP, 2), None)
+@example((np.zeros((1, 1)), _TIED, 3), 1)
 def test_filtered_search_equals_the_full_search(problem, rows):
     x, ref, k = problem
     cap = contextlib.nullcontext()
