@@ -20,7 +20,6 @@ from .bench import (
     predict_queries,
     render_table,
     run_benchmark,
-    run_replication,
     summarize,
     win_tie_loss,
     write_outputs,
@@ -96,7 +95,6 @@ __all__ = [
     "predict_queries",
     "render_table",
     "run_benchmark",
-    "run_replication",
     "score_all",
     "summarize",
     "win_tie_loss",

@@ -49,7 +49,10 @@ _QUERY_CELLS = 1 << 18
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything that determines a benchmark run over given datasets (immutable)."""
+    """Everything that determines a run of any ``drs`` command over given
+    datasets (immutable): the benchmark's, or the fit that ``predict`` and
+    ``inspect`` explain. It case-folds the names and checks them, the
+    sizes and the m1 rule."""
 
     algorithms: tuple[str, ...] = ALGORITHMS
     measures: tuple[str, ...] = MEASURE_IDS
@@ -70,10 +73,14 @@ class RunConfig:
             raise ValueError("at least one algorithm is required")
         for a in self.algorithms:
             if a not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {a!r}; expected one of {ALGORITHMS}")
+                raise ValueError(
+                    f"unknown algorithm {a!r}; expected one of {', '.join(ALGORITHMS)}"
+                )
         for m in self.measures:
             if m not in MEASURE_IDS:
-                raise ValueError(f"unknown measure {m!r}; expected one of {MEASURE_IDS}")
+                raise ValueError(
+                    f"unknown measure {m!r}; expected one of {', '.join(MEASURE_IDS)}"
+                )
         if any(a in DYNAMIC_ALGORITHMS for a in self.algorithms) and not self.measures:
             raise ValueError("dynamic algorithms require at least one measure")
         for name, value in [
@@ -154,10 +161,8 @@ def render_cell(mean: float, std: float, scale: str = "1e-4") -> str:
 
 
 def displayed_value(mean: float, scale: str = "1e-4") -> float:
-    """The cell mean at the precision the table displays (used for ties)."""
-    if scale == "1e-4":
-        return round(mean * 1e4, 2)
-    return float(f"{mean:.6g}")
+    """The cell mean as ``render_cell`` prints it (used for ties)."""
+    return float(render_cell(mean, 0.0, scale).partition("(")[0])
 
 
 def _block_rows(reference_X, k, n_members) -> int:
@@ -311,14 +316,14 @@ def _usable_cpus() -> int:
 
 
 def _map_folds(config: RunConfig, tasks: list) -> list:
-    """``_run_fold`` over ``tasks``, results in task order: in a pool of at
-    most ``config.jobs`` processes, capped at the tasks and the usable CPUs,
-    when ``config.jobs`` > 1, else in this process. The pool's module, with
-    multiprocessing and pickle, is imported only then."""
-    if config.jobs > 1:
+    """``_run_fold`` over ``tasks``, results in task order: in a pool of
+    ``config.jobs`` processes, capped at the tasks and the usable CPUs, when
+    that leaves more than one, else in this process. The pool's module,
+    with multiprocessing and pickle, is imported only then."""
+    workers = min(config.jobs, len(tasks), _usable_cpus())
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(config.jobs, len(tasks), _usable_cpus())
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_fold, tasks))
     return list(map(_run_fold, tasks))

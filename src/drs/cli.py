@@ -16,8 +16,12 @@ Three subcommands:
     Leave one row out of a dataset, fit on the rest, and print that row's
     region of competence and every member's eight competence scores.
 
-Every option defaults to the library's value (``RunConfig()``, its
-``TreeParams()`` and the fixed seed), so repeated runs are byte-identical.
+Every command describes its run as one ``RunConfig``, so in all three the
+algorithm and measure names are case-insensitive, and an unknown name, a
+size below its minimum or ``m1`` with ``--k 1`` exits with code 2 before
+any file is read. Every option defaults to the library's value
+(``RunConfig()``, its ``TreeParams()`` and the fixed seed), so repeated
+runs are byte-identical.
 ``drs <command> @FILE`` reads arguments from FILE, one per line, as if they
 stood in its place: a later flag wins, and its ``--data`` lines add to the
 others. Exit codes: 0 on success, 1 for unreadable or malformed files (or
@@ -125,47 +129,46 @@ def _tree_params(ns) -> TreeParams:
     return TreeParams(ns.min_parent_size, ns.min_leaf_size, max_depth)
 
 
-def _require_sizes(ns):
+def _config(ns, algorithms, measures, **bench_fields) -> RunConfig:
+    """The run of ``algorithms`` and ``measures`` that ``ns``'s common flags
+    and ``bench_fields`` describe. RunConfig checks it; ``--k`` and
+    ``--members`` are checked first so that the message names the flag."""
     _require(ns.k >= 1, f"--k must be >= 1 (got {ns.k})")
     _require(ns.members >= 1, f"--members must be >= 1 (got {ns.members})")
+    return RunConfig(
+        algorithms=algorithms, measures=measures, k=ns.k, n_members=ns.members,
+        seed=ns.seed, tree_params=_tree_params(ns), normalization=ns.normalize,
+        **bench_fields,
+    )
 
 
-def _normalized(ns, algorithms, train, query_x):
-    """The training set as ``--normalize`` maps it, the min-max parameters
-    that map predictions back (None for ``none``), and the ``(ensemble,
-    individual)`` that ``algorithms`` need, fitted on that training set.
-    The query rows ``query_x`` are mapped the same way in place, so they
-    must be a writable array of their own, and the query side holds one
-    copy of its rows. ``--k`` is checked against the training rows first,
-    when a dynamic algorithm needs neighbours."""
-    if set(algorithms) & set(DYNAMIC_ALGORITHMS):
-        _require(ns.k <= train.n_instances,
-                 f"--k ({ns.k}) exceeds the number of training rows ({train.n_instances})")
+def _normalized(config, train, query_x):
+    """The training set as ``config.normalization`` maps it, the min-max
+    parameters that map predictions back (None for ``none``), and the
+    ``(ensemble, individual)`` that ``config.algorithms`` need, fitted on
+    that training set. The query rows ``query_x`` are mapped the same way
+    in place, so they must be a writable array of their own, and the query
+    side holds one copy of its rows. ``config.k`` is checked against the
+    training rows first, when a dynamic algorithm needs neighbours."""
+    if set(config.algorithms) & set(DYNAMIC_ALGORITHMS):
+        _require(config.k <= train.n_instances,
+                 f"--k ({config.k}) exceeds the number of training rows ({train.n_instances})")
     params = None
-    if ns.normalize == "global":
+    if config.normalization == "global":
         train, params = normalize_minmax(train)
         apply_minmax(query_x, params)
     ensemble, individual = fit_models(
-        algorithms, train.features, train.targets, ns.members, _tree_params(ns), ns.seed,
+        config.algorithms, train.features, train.targets,
+        config.n_members, config.tree_params, config.seed,
     )
     return train, params, ensemble, individual
 
 
 def cmd_bench(ns) -> int:
     _require(bool(ns.data), "--data is required")
-    _require_sizes(ns)
-    config = RunConfig(
-        algorithms=parse_algorithms(ns.algo),
-        measures=parse_measures(ns.measures),
-        k=ns.k,
-        n_members=ns.members,
-        folds=ns.folds,
-        replications=ns.reps,
-        seed=ns.seed,
-        tree_params=_tree_params(ns),
-        normalization=ns.normalize,
-        scale=ns.scale,
-        jobs=ns.jobs,
+    config = _config(
+        ns, parse_algorithms(ns.algo), parse_measures(ns.measures),
+        folds=ns.folds, replications=ns.reps, scale=ns.scale, jobs=ns.jobs,
     )
 
     datasets = []
@@ -262,13 +265,9 @@ def _dws_pieces(heads, weights, measure):
 
 
 def cmd_predict(ns) -> int:
-    _require_sizes(ns)
-    algo = ns.algo
-    measure = ns.measure
-    _require(
-        not (algo in DYNAMIC_ALGORITHMS and measure == "m1" and ns.k < 2),
-        f"m1 needs at least 2 neighbors (got --k {ns.k})",
-    )
+    config = _config(ns, (ns.algo,), (ns.measure,))
+    [key] = config.method_keys()
+    algo, measure = key
     train = load_csv(ns.train, ns.target_col)
     query, _ = read_numeric_csv(ns.query)
     if query.shape[1] != train.n_features:
@@ -276,10 +275,9 @@ def cmd_predict(ns) -> int:
             f"{ns.query}: query rows have {query.shape[1]} features "
             f"but {ns.train} has {train.n_features}"
         )
-    fitted, params, ensemble, individual = _normalized(ns, (algo,), train, query)
-    key = (algo, measure if algo in DYNAMIC_ALGORITHMS else "")
+    fitted, params, ensemble, individual = _normalized(config, train, query)
     answers = predict_queries(
-        [key], fitted.features, fitted.targets, query, ns.k, ensemble, individual,
+        [key], fitted.features, fitted.targets, query, config.k, ensemble, individual,
     )
     # Each block's lines are a (B, columns) array of string pieces, written
     # with one join.
@@ -300,7 +298,8 @@ def cmd_predict(ns) -> int:
 
 
 def cmd_inspect(ns) -> int:
-    _require_sizes(ns)
+    # m1 needs two neighbours: with --k 1 it is left out, and its column reads NaN.
+    config = _config(ns, DYNAMIC_ALGORITHMS, [m for m in MEASURE_IDS if m != "m1" or ns.k > 1])
     data = load_csv(ns.data, ns.target_col)
     row = ns.row
     _require(
@@ -310,20 +309,20 @@ def cmd_inspect(ns) -> int:
     keep = np.r_[0:row, row + 1 : data.n_instances]
     reference = data.subset(keep)
     query_x = data.features[[row]]  # a copy, which _normalized maps in place
-    fitted, params, ensemble, _ = _normalized(ns, DYNAMIC_ALGORITHMS, reference, query_x)
+    fitted, params, ensemble, _ = _normalized(config, reference, query_x)
     # The query is a block of one row; its region and scores are row 0.
     region = build_region(
         query_x, fitted.features, fitted.targets,
-        ensemble.predict_all(fitted.features), ns.k,
+        ensemble.predict_all(fitted.features), config.k,
     )
     qp = ensemble.predict_all(query_x)[:, 0]
 
     print(f"query: row {row} of {ns.data} (target {data.targets[row]:.6f}), "
           f"reference: the other {reference.n_instances} rows")
-    print(f"ensemble: {ns.members} members, seed {ns.seed}; "
+    print(f"ensemble: {config.n_members} members, seed {config.seed}; "
           f"ensemble mean prediction "
           f"{float(denormalize_targets([qp.mean()], params)[0]) if params else qp.mean():.6f}")
-    print(f"\nregion of competence (k={ns.k}, nearest first):")
+    print(f"\nregion of competence (k={config.k}, nearest first):")
     print("  rank  row  distance      weight    observed")
     for r in range(region.k):
         print(
@@ -332,12 +331,11 @@ def cmd_inspect(ns) -> int:
             f"  {region.observed[0, r]:.6f}"
         )
 
-    columns = {}
-    for m in MEASURE_IDS:
-        if m == "m1" and region.k < 2:
-            columns[m] = np.full(len(ensemble.members), np.nan)
-        else:
-            columns[m] = score_all(m, region, qp[None])[0]
+    columns = {
+        m: score_all(m, region, qp[None])[0] if m in config.measures
+        else np.full(len(ensemble.members), np.nan)
+        for m in MEASURE_IDS
+    }
     print(f"\ncompetence scores per member (lower is better):")
     print("  member  " + "  ".join(f"{m:>10}" for m in MEASURE_IDS))
     for i in range(len(ensemble.members)):
@@ -409,11 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--query", required=True, metavar="CSV",
                          help="feature-only rows to predict")
     predict.add_argument("--algo", default="ds",
-                         choices=ALGORITHMS,
-                         help="prediction algorithm (default %(default)s)")
-    predict.add_argument("--measure", default="m3", type=str.lower,
-                         choices=MEASURE_IDS,
-                         help="competence measure for ds/dw/dws (default %(default)s)")
+                         help="single, mean, median, ds, dw or dws (default %(default)s)")
+    predict.add_argument("--measure", default="m3",
+                         help="ds/dw/dws competence measure, m1..m8 (default %(default)s)")
     _add_common(predict, ("global", "none"), config)
     predict.set_defaults(func=cmd_predict)
 

@@ -126,10 +126,6 @@ class RegressionTree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    @property
-    def n_leaves(self) -> int:
-        return int(np.sum(self.feature < 0))
-
     def predict(self, X):
         """Predict a batch of samples (n, d); returns the (n,) predictions.
 

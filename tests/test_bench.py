@@ -3,11 +3,15 @@
 import csv
 import os
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import synthetic_dataset
 from drs.bench import (
+    SCALES,
     RunConfig,
     RunResult,
     aggregate,
@@ -86,6 +90,20 @@ class TestScalars:
         assert displayed_value(1.0004e-4) == 1.0
         assert displayed_value(9.996e-5) == 1.0
         assert displayed_value(1.006e-4) == 1.01
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from(SCALES))
+    def test_the_tie_value_is_the_printed_mean(self, data, scale):
+        # Means at or next to a tie of either scale's last printed digit, and
+        # a second mean at, next to or near the first.
+        tie = (data.draw(st.integers(0, 10**6)) + 0.5) * 10.0 ** data.draw(st.integers(-12, 0))
+        a = data.draw(st.one_of(st.floats(0.0, 1e6), st.sampled_from(
+            [tie, math.nextafter(tie, 0.0), math.nextafter(tie, math.inf)])))
+        b = data.draw(st.sampled_from([a, math.nextafter(a, math.inf), a * (1 + 1e-7)]))
+        std = data.draw(st.floats(0.0, 1e6))
+        printed_a, printed_b = (render_cell(x, std, scale).partition("(")[0] for x in (a, b))
+        assert displayed_value(a, scale) == float(printed_a)
+        assert (displayed_value(a, scale) == displayed_value(b, scale)) == (printed_a == printed_b)
 
     def test_method_label(self):
         assert method_label("mean") == "mean"
@@ -323,7 +341,16 @@ class TestFoldPool:
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
         config = small_config(jobs=8, algorithms=("mean",), measures=(), n_members=2)
         run_benchmark(config, [small_dataset()])
-        assert fake_pools[0].max_workers == workers
+        if workers == 1:  # one worker runs the folds in this process
+            assert fake_pools == []
+        else:
+            assert fake_pools[0].max_workers == workers
+
+    def test_one_usable_cpu_builds_no_pool(self, fake_pools, monkeypatch):
+        usable_cpus(monkeypatch, 1)
+        config = small_config(jobs=2, algorithms=("mean",), measures=(), n_members=2)
+        run_benchmark(config, [small_dataset()])
+        assert fake_pools == []
 
 
 class TestReports:

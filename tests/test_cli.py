@@ -719,6 +719,26 @@ class TestPredict:
         out = capsys.readouterr().out
         assert re.search(r"\(m2: kept \d/6 members: \d\*0\.\d{4}", out)
 
+    def test_names_are_case_insensitive(self, train_csv, query_csv, capsys):
+        outputs = []
+        for algo, measure in [("dws", "m3"), ("DWS", "M3")]:
+            assert main(["predict", "--train", str(train_csv), "--query", str(query_csv),
+                         "--algo", algo, "--measure", measure, "--members", "6"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != ""
+
+    @pytest.mark.parametrize("flag, value, what, names", [
+        ("--algo", "xx", "algorithm", ALGORITHMS), ("--measure", "m9", "measure", MEASURE_IDS),
+    ])
+    def test_an_unknown_name_is_named_before_any_file_is_read(self, flag, value, what, names,
+                                                             tmp_path, capsys):
+        # drs bench's message, given before any file is opened.
+        missing = str(tmp_path / "missing.csv")
+        assert main(["predict", "--train", missing, "--query", missing, flag, value]) == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown {what} {value!r}; expected one of {', '.join(names)}\n"
+        )
+
     @pytest.mark.parametrize("kept, members", [
         ([1], 14), ([9], 14), ([10], 14), ([11], 14), ([1, 9, 10, 11, 14], 14),
         ([12, 3], 12), ([11, 120, 3], 120),
